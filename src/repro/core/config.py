@@ -6,10 +6,15 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.fftcore.fixed_point import ApproxFftConfig
-from repro.he.backend import FftPolyMulBackend, NttPolyMulBackend
 from repro.he.params import BfvParameters, cheetah_preset
 from repro.hw.accelerator import FlashDesign
 from repro.hw.calibration import FLASH_DEFAULT_DW, FLASH_DEFAULT_K
+from repro.runtime import (
+    BatchedFftBackend,
+    BatchedNttBackend,
+    PlanCache,
+    SparseBatchedFftBackend,
+)
 
 
 @dataclass
@@ -61,56 +66,48 @@ class FlashConfig:
             twiddle_max_shift=self.twiddle_max_shift,
         )
 
-    def flash_backend(self) -> FftPolyMulBackend:
-        """The approximate polynomial-multiplication backend."""
-        return FftPolyMulBackend(weight_config=self.weight_fft_config())
-
-    def exact_backend(self) -> NttPolyMulBackend:
-        """The exact NTT backend (baseline accelerators)."""
-        return NttPolyMulBackend()
-
-    def fp_backend(self) -> FftPolyMulBackend:
-        """Float64 FFT backend (the "FFT (FP)" ablation arm)."""
-        return FftPolyMulBackend(weight_config=None)
-
-    def batched_flash_backend(
+    def exact_backend(
         self, max_workers: Optional[int] = None, cluster=None
-    ):
-        """Approximate backend with batched ``multiply_many`` support."""
-        from repro.runtime import BatchedFftBackend
+    ) -> BatchedNttBackend:
+        """The exact NTT backend (baseline accelerators)."""
+        return BatchedNttBackend(max_workers=max_workers, cluster=cluster)
 
+    def flash_backend(
+        self,
+        max_workers: Optional[int] = None,
+        cluster=None,
+        plan_cache: Optional[PlanCache] = None,
+    ) -> BatchedFftBackend:
+        """The approximate polynomial-multiplication backend.
+
+        ``plan_cache`` is the backend's shared transform-pipeline cache.
+        """
         return BatchedFftBackend(
             weight_config=self.weight_fft_config(),
             max_workers=max_workers,
             cluster=cluster,
+            plan_cache=plan_cache,
         )
 
-    def batched_exact_backend(
-        self, max_workers: Optional[int] = None, cluster=None
-    ):
-        """Exact NTT backend with batched ``multiply_many`` support."""
-        from repro.runtime import BatchedNttBackend
-
-        return BatchedNttBackend(max_workers=max_workers, cluster=cluster)
-
-    def batched_sparse_backend(
+    def sparse_backend(
         self,
         max_workers: Optional[int] = None,
         pattern: Optional[List[int]] = None,
         cluster=None,
-    ):
+        plan_cache: Optional[PlanCache] = None,
+    ) -> SparseBatchedFftBackend:
         """Approximate backend running compiled sparse weight plans.
 
         Per-weight structural patterns are inferred from each weight's
-        support unless a fixed layer ``pattern`` is given.
+        support unless a fixed layer ``pattern`` is given; ``plan_cache``
+        is as on :meth:`flash_backend`.
         """
-        from repro.runtime import SparseBatchedFftBackend
-
         return SparseBatchedFftBackend(
             weight_config=self.weight_fft_config(),
             pattern=pattern,
             max_workers=max_workers,
             cluster=cluster,
+            plan_cache=plan_cache,
         )
 
     def describe(self) -> str:

@@ -34,6 +34,7 @@ from repro.protocol.hybrid import (
     ProtocolResult,
     make_session,
 )
+from repro.runtime import PlanCache
 
 
 @dataclass
@@ -71,6 +72,9 @@ class Flash:
         self._cham = ChamModel(n=self.config.n)
         self._session = None
         self._batched_backends: Dict = {}
+        # One transform pipeline per (ring degree, weight config), shared
+        # by the flash and sparse backends.
+        self._pipelines = PlanCache(max_entries=16)
         self._cluster_executors: Dict = {}
 
     def close(self) -> None:
@@ -79,6 +83,7 @@ class Flash:
             executor.close()
         self._cluster_executors.clear()
         self._batched_backends.clear()
+        self._pipelines.clear()
 
     def __enter__(self) -> "Flash":
         return self
@@ -121,19 +126,24 @@ class Flash:
     def _batched_backend(
         self, kind: str, max_workers: Optional[int], cluster=None
     ):
-        """Batched backend instance, cached so plan/spectrum caches persist
-        across layer calls (the whole point of the runtime's PlanCache)."""
+        """Backend instance, cached so plan/spectrum caches persist across
+        layer calls (the whole point of the runtime's PlanCache)."""
         executor = self._cluster_executor(cluster)
         key = (kind, max_workers, executor)
         if key not in self._batched_backends:
-            factory = {
-                "exact": self.config.batched_exact_backend,
-                "flash": self.config.batched_flash_backend,
-                "sparse": self.config.batched_sparse_backend,
-            }[kind]
-            self._batched_backends[key] = factory(
-                max_workers, cluster=executor
-            )
+            if kind == "exact":
+                backend = self.config.exact_backend(
+                    max_workers, cluster=executor
+                )
+            else:
+                factory = (
+                    self.config.sparse_backend if kind == "sparse"
+                    else self.config.flash_backend
+                )
+                backend = factory(
+                    max_workers, cluster=executor, plan_cache=self._pipelines
+                )
+            self._batched_backends[key] = backend
         return self._batched_backends[key]
 
     def private_conv2d(
@@ -152,6 +162,11 @@ class Flash:
     ):
         """Run one private convolution through the hybrid protocol.
 
+        Every call runs on the facade's cached backend for its mode
+        (:mod:`repro.runtime`): plans and weight spectra persist across
+        calls and all transform work runs in vectorized batch passes; a
+        single input is a batch of one.
+
         Args:
             x: clear activation (secret-shared internally).  With
                 ``batch=True`` this is a ``B x C x H x W`` stack and one
@@ -161,25 +176,21 @@ class Flash:
             rng: randomness.
             exact: use the exact NTT backend instead of the approximate
                 FFT (the baseline accelerators' computation).
-            batch: route through the batched runtime
-                (:mod:`repro.runtime`): plans and weight spectra are cached
-                across calls and all transform work runs in vectorized
-                batch passes.  Returns ``List[ProtocolResult]``.
+            batch: ``x`` is a batch; returns ``List[ProtocolResult]``.
             sparse: run the weight transforms through compiled sparse
                 plans (:class:`repro.runtime.SparseBatchedFftBackend`) --
                 the paper's skipping/merging dataflow in the hot path.
                 Works with or without ``batch``; incompatible with
                 ``exact``.  Realized-vs-model mult reduction lands in the
                 result stats.
-            max_workers: worker-pool width for the batched runtime
+            max_workers: worker-pool width for the runtime backend
                 (``None`` keeps the deterministic serial fallback).
             cluster: shard the batched products across supervised worker
                 *processes* (:mod:`repro.cluster`): an ``int`` pool width
                 (the facade owns the pool; call :meth:`close` when done)
                 or a ready :class:`repro.cluster.ClusterExecutor`.
-                Implies the batched runtime; bit-identical to the
-                in-process path, with crash recovery and the supervision
-                counters in the result stats.
+                Bit-identical to the in-process path, with crash recovery
+                and the supervision counters in the result stats.
             transport: optional :class:`repro.faults.ResilientSession`
                 carrying the ciphertext traffic over its checksummed
                 channel (retry/timeout counts land in the result stats).
@@ -188,25 +199,14 @@ class Flash:
         """
         if sparse and exact:
             raise ValueError("sparse=True is incompatible with exact=True")
-        if batch or sparse or cluster is not None:
-            kind = "exact" if exact else ("sparse" if sparse else "flash")
-            backend = self._batched_backend(kind, max_workers, cluster)
-            protocol = HybridConvProtocol(
-                self.config.params, shape, backend,
-                transport=transport, guard=guard,
-            )
-            if batch:
-                return protocol.run_batch(
-                    x, w, rng, session=self.session(rng)
-                )
-            return protocol.run(x, w, rng, session=self.session(rng))
-        backend = (
-            self.config.exact_backend() if exact else self.config.flash_backend()
-        )
+        kind = "exact" if exact else ("sparse" if sparse else "flash")
         protocol = HybridConvProtocol(
-            self.config.params, shape, backend,
+            self.config.params, shape,
+            self._batched_backend(kind, max_workers, cluster),
             transport=transport, guard=guard,
         )
+        if batch:
+            return protocol.run_batch(x, w, rng, session=self.session(rng))
         return protocol.run(x, w, rng, session=self.session(rng))
 
     def private_linear(
@@ -221,11 +221,9 @@ class Flash:
         """Run one private fully-connected layer (``transport`` and
         ``guard`` as on :meth:`private_conv2d`)."""
         shape = LinearShape(in_features=w.shape[1], out_features=w.shape[0])
-        backend = (
-            self.config.exact_backend() if exact else self.config.flash_backend()
-        )
         protocol = HybridLinearProtocol(
-            self.config.params, shape, backend,
+            self.config.params, shape,
+            self._batched_backend("exact" if exact else "flash", None),
             transport=transport, guard=guard,
         )
         return protocol.run(x, w, rng, session=self.session(rng))

@@ -200,6 +200,7 @@ def _probe_transport(it: ChaosIteration, n: int, seed: int) -> None:
     from repro.encoding.conv_encoding import ConvShape
     from repro.he.params import toy_preset
     from repro.protocol.hybrid import HybridConvProtocol
+    from repro.runtime.engine import BatchedFftBackend
 
     params = toy_preset(n=n)
     channel = FaultyChannel(
@@ -252,10 +253,10 @@ def _probe_degradation(it: ChaosIteration, n: int, seed: int) -> None:
 
     from repro.encoding.conv_encoding import ConvShape
     from repro.fftcore.fixed_point import ApproxFftConfig
-    from repro.he.backend import FftPolyMulBackend
     from repro.he.params import toy_preset
 
     from repro.protocol.hybrid import HybridConvProtocol
+    from repro.runtime.engine import BatchedFftBackend
 
     params = toy_preset(n=n)
     if it.index % 2 == 0:
@@ -278,7 +279,7 @@ def _probe_degradation(it: ChaosIteration, n: int, seed: int) -> None:
     w = rng.integers(-2, 3, size=(1, 1, 3, 3))
     protocol = HybridConvProtocol(
         params, shape,
-        backend=FftPolyMulBackend(weight_config=config),
+        backend=BatchedFftBackend(weight_config=config),
         guard=guard,
         layer_name=f"chaos{it.index}",
     )

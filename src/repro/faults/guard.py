@@ -86,9 +86,9 @@ class BudgetGuard:
 
     def fallback_backend(self):
         """The exact backend degraded layers rerun on."""
-        from repro.he.backend import NttPolyMulBackend
+        from repro.runtime.engine import BatchedNttBackend
 
-        return NttPolyMulBackend()
+        return BatchedNttBackend()
 
     # -- detectors -------------------------------------------------------
 

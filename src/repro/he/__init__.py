@@ -1,13 +1,6 @@
 """BFV homomorphic encryption substrate (the paper's SEAL role)."""
 
-from repro.he.backend import (
-    CachedNttBackend,
-    FftPolyMulBackend,
-    NttPolyMulBackend,
-    PolyMulBackend,
-    flash_backend,
-    fp_fft_backend,
-)
+from repro.he.backend import PolyMulBackend, flash_backend, fp_fft_backend
 from repro.he.bfv import BfvContext, Ciphertext, PublicKey, SecretKey
 from repro.he.noise import (
     accumulation_noise_factor,
@@ -36,10 +29,7 @@ from repro.he.poly import RingPoly, gaussian_poly, ternary_poly, uniform_poly
 __all__ = [
     "BfvContext",
     "BfvParameters",
-    "CachedNttBackend",
     "Ciphertext",
-    "FftPolyMulBackend",
-    "NttPolyMulBackend",
     "ParameterError",
     "ParameterReport",
     "PolyMulBackend",

@@ -178,9 +178,9 @@ class BfvContext:
         """Multiply by a plaintext polynomial with *signed small* coefficients.
 
         This is the HConv workhorse: weight polynomials produced by the
-        coefficient encoding multiply both ciphertext components.  The
-        polynomial product is delegated to ``backend`` (exact NTT by
-        default; pass an FFT backend to model FLASH).
+        coefficient encoding multiply both ciphertext components.  Both
+        products go through one ``backend.multiply_many`` call (exact NTT
+        by default; pass an FFT backend to model FLASH).
 
         Args:
             ct: input ciphertext.
@@ -188,15 +188,14 @@ class BfvContext:
             backend: a :class:`repro.he.backend.PolyMulBackend`; defaults
                 to the exact NTT backend.
         """
-        from repro.he.backend import NttPolyMulBackend
+        from repro.runtime.engine import BatchedNttBackend
 
         if backend is None:
-            backend = NttPolyMulBackend()
+            backend = BatchedNttBackend()
         weights = np.asarray(weights)
         if weights.shape != (self.params.n,):
             raise ValueError(f"expected {self.params.n} weight coefficients")
-        c0 = backend.multiply(ct.c0, weights)
-        c1 = backend.multiply(ct.c1, weights)
+        c0, c1 = backend.multiply_many([ct.c0, ct.c1], [weights, weights])
         return Ciphertext(c0, c1)
 
     def zero_ciphertext(self) -> Ciphertext:

@@ -27,12 +27,13 @@ from repro.encoding.conv_encoding import (
     pad_input,
 )
 from repro.encoding.linear_encoding import LinearEncoder, LinearShape
-from repro.he.backend import FftPolyMulBackend, PolyMulBackend
-from repro.he.bfv import BfvContext, Ciphertext, PublicKey, SecretKey
+from repro.he.backend import PolyMulBackend
+from repro.he.bfv import BfvContext, Ciphertext
 from repro.he.params import BfvParameters
 from repro.obs import trace as obs_trace
 from repro.protocol.secret_sharing import ShareRing
 from repro.protocol.wire import ciphertext_bytes
+from repro.runtime.engine import BatchedFftBackend, BatchedNttBackend
 
 
 @dataclass
@@ -175,7 +176,7 @@ class _ResilientProtocolMixin:
         approximate-FFT backends (the exact paths have nothing to fall
         back to -- undersized parameters there are a hard error)."""
         return self.guard is not None and isinstance(
-            self.backend, FftPolyMulBackend
+            self.backend, BatchedFftBackend
         )
 
     def _absorb_backend_mults(self, *stats: ProtocolStats) -> None:
@@ -238,7 +239,7 @@ class HybridConvProtocol(_ResilientProtocolMixin):
     ):
         self.params = params
         self.shape = shape
-        self.backend = backend
+        self.backend = backend if backend is not None else BatchedNttBackend()
         self.transport = transport
         self.guard = guard
         self.layer_name = layer_name
@@ -252,7 +253,6 @@ class HybridConvProtocol(_ResilientProtocolMixin):
             layer_name=self.layer_name,
         )
 
-    @obs_trace.traced("protocol.conv")
     def run(
         self,
         x: np.ndarray,
@@ -262,6 +262,9 @@ class HybridConvProtocol(_ResilientProtocolMixin):
     ) -> ProtocolResult:
         """Evaluate ``conv(x, w)`` privately and verify against plaintext.
 
+        A batch of one: :meth:`run_batch` on the ``C x H x W`` input, with
+        the same randomness order and budget-guard behaviour.
+
         Args:
             x: clear activation tensor ``C x H x W`` (signed ints); it is
                 secret-shared internally before the protocol starts.
@@ -270,96 +273,7 @@ class HybridConvProtocol(_ResilientProtocolMixin):
             session: optional pre-generated key material (reuse across
                 layers).
         """
-        party = session or _PartyPair(self.params, rng)
-        if self._guarded():
-            # Channel tiling accumulates at most in_channels partial sums.
-            if self.guard.preflight(
-                w,
-                num_accumulated=self.shape.in_channels,
-                layer=self.layer_name,
-            ):
-                result = self._fallback_protocol().run(x, w, rng, session=party)
-                result.stats.degraded = True
-                return result
-        result = self._run_once(x, w, rng, party)
-        if self._guarded() and self.guard.observe(
-            result.max_error, layer=self.layer_name
-        ):
-            result = self._fallback_protocol().run(x, w, rng, session=party)
-            result.stats.degraded = True
-        return result
-
-    def _run_once(
-        self,
-        x: np.ndarray,
-        w: np.ndarray,
-        rng: np.random.Generator,
-        party: _PartyPair,
-    ) -> ProtocolResult:
-        from repro.encoding.plain_eval import conv2d_direct
-
-        ring, ctx = party.ring, party.ctx
-        stats = ProtocolStats()
-
-        x = np.asarray(x, dtype=np.int64)
-        w = np.asarray(w, dtype=np.int64)
-        expected = conv2d_direct(x, w, stride=self.shape.stride, padding=self.shape.padding)
-        if not ring.fits_signed(expected):
-            raise ValueError(
-                "convolution output overflows the sharing ring; "
-                "increase the plaintext modulus"
-            )
-
-        x_client, x_server = ring.share(x, rng)
-        xc_pad = pad_input(ring.to_signed(x_client), self.shape.padding)
-        xs_pad = pad_input(ring.to_signed(x_server), self.shape.padding)
-
-        padded_shape = ConvShape(
-            in_channels=self.shape.in_channels,
-            height=self.shape.padded_height,
-            width=self.shape.padded_width,
-            out_channels=self.shape.out_channels,
-            kernel_h=self.shape.kernel_h,
-            kernel_w=self.shape.kernel_w,
-            stride=self.shape.stride,
-            padding=0,
-        )
-
-        y_client = np.zeros_like(expected)
-        y_server = np.zeros_like(expected)
-        oh, ow = expected.shape[1], expected.shape[2]
-        s = self.shape.stride
-        for phase, a, b in decompose_strided(padded_shape):
-            xc_phase = xc_pad[:, a::s, b::s][:, : phase.height, : phase.width]
-            xs_phase = xs_pad[:, a::s, b::s][:, : phase.height, : phase.width]
-            w_phase = w[:, :, a::s, b::s]
-            for row_start, band in iter_row_bands(phase, self.params.n):
-                enc = Conv2dEncoder(band, self.params.n)
-                rows = slice(row_start, row_start + band.height)
-                yc, ys = self._run_phase(
-                    party, enc, xc_phase[:, rows, :], xs_phase[:, rows, :],
-                    w_phase, rng, stats,
-                )
-                r1 = min(row_start + yc.shape[1], oh)
-                pad_rows = r1 - row_start
-                if pad_rows <= 0:
-                    continue
-                yc_full = np.zeros_like(y_client)
-                ys_full = np.zeros_like(y_server)
-                yc_full[:, row_start:r1, :ow] = yc[:, :pad_rows, :ow]
-                ys_full[:, row_start:r1, :ow] = ys[:, :pad_rows, :ow]
-                y_client = ring.add(y_client, yc_full)
-                y_server = ring.add(y_server, ys_full)
-
-        reconstructed = ring.reconstruct(y_client, y_server)
-        del ctx  # evaluation state lives in the party object
-        return ProtocolResult(
-            client_share=y_client,
-            server_share=y_server,
-            reconstructed=reconstructed,
-            expected=expected,
-            stats=stats,
-        )
+        return self.run_batch(x, w, rng, session=session)[0]
 
     @obs_trace.traced("protocol.conv_batch")
     def run_batch(
@@ -371,13 +285,11 @@ class HybridConvProtocol(_ResilientProtocolMixin):
     ) -> List[ProtocolResult]:
         """Evaluate ``conv(x_i, w)`` privately for a whole batch of inputs.
 
-        The batched counterpart of :meth:`run`: every phase/band builds its
-        encoder and weight polynomials once for the whole batch, and all
-        homomorphic plaintext products of a band (items x channels x tiles
-        x 2 ciphertext components) go through the backend in one
-        ``multiply_many`` call when it offers one (see
-        :mod:`repro.runtime`), so the transform work is batched and the
-        weight spectra are computed once.
+        Every phase/band builds its encoder and weight polynomials once for
+        the whole batch, and all homomorphic plaintext products of a band
+        (items x channels x tiles x 2 ciphertext components) go through
+        one ``backend.multiply_many`` call, so the transform work is
+        batched and the weight spectra are computed once.
 
         Args:
             xs: clear activations ``B x C x H x W`` (or ``C x H x W``).
@@ -550,28 +462,21 @@ class HybridConvProtocol(_ResilientProtocolMixin):
         out_channels = enc.shape.out_channels
         tiles = len(all_full_cts[0])
         pairs = [(m, tile) for m in range(out_channels) for tile in range(tiles)]
+        polys, weights = [], []
+        for item in range(batch):
+            for m, tile in pairs:
+                w_poly = w_polys[(tile, m)]
+                polys.extend(
+                    (all_full_cts[item][tile].c0, all_full_cts[item][tile].c1)
+                )
+                weights.extend((w_poly, w_poly))
+        outs = self.backend.multiply_many(polys, weights)
+        self._absorb_backend_mults(*stats)
         products: Dict[Tuple[int, int, int], Ciphertext] = {}
-        if self.backend is not None and hasattr(self.backend, "multiply_many"):
-            polys, weights = [], []
-            for item in range(batch):
-                for m, tile in pairs:
-                    w_poly = w_polys[(tile, m)]
-                    polys.extend(
-                        (all_full_cts[item][tile].c0, all_full_cts[item][tile].c1)
-                    )
-                    weights.extend((w_poly, w_poly))
-            outs = self.backend.multiply_many(polys, weights)
-            self._absorb_backend_mults(*stats)
-            for item in range(batch):
-                for i, (m, tile) in enumerate(pairs):
-                    k = 2 * (item * len(pairs) + i)
-                    products[(item, m, tile)] = Ciphertext(outs[k], outs[k + 1])
-        else:
-            for item in range(batch):
-                for m, tile in pairs:
-                    products[(item, m, tile)] = ctx.multiply_plain(
-                        all_full_cts[item][tile], w_polys[(tile, m)], self.backend
-                    )
+        for item in range(batch):
+            for i, (m, tile) in enumerate(pairs):
+                k = 2 * (item * len(pairs) + i)
+                products[(item, m, tile)] = Ciphertext(outs[k], outs[k + 1])
 
         results: List[Tuple[np.ndarray, np.ndarray]] = []
         oh, ow = enc.shape.out_height, enc.shape.out_width
@@ -600,110 +505,6 @@ class HybridConvProtocol(_ResilientProtocolMixin):
             results.append((y_client, y_server))
         return results
 
-    @obs_trace.traced("protocol.phase")
-    def _run_phase(
-        self,
-        party: _PartyPair,
-        enc: Conv2dEncoder,
-        xc: np.ndarray,
-        xs: np.ndarray,
-        w: np.ndarray,
-        rng: np.random.Generator,
-        stats: ProtocolStats,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        ctx, ring = party.ctx, party.ring
-        t = self.params.t
-
-        # Client: encrypt each tile of its share.
-        client_polys = enc.encode_input(xc)
-        cts = [
-            ctx.encrypt_symmetric(party.sk, poly % t, rng)
-            for poly in client_polys
-        ]
-        stats.ciphertexts_sent += len(cts)
-        stats.bytes_sent += len(cts) * ciphertext_bytes(self.params)
-        stats.input_transforms += len(cts)
-        # Client -> server hop (resilient transport when configured).
-        cts = [self._transfer_ct(ct, stats) for ct in cts]
-
-        # Server: reconstruct activation under encryption, multiply, mask.
-        server_polys = enc.encode_input(xs)
-        w_polys = enc.encode_weights(w)
-        counts = enc.transforms_per_hconv()
-        stats.weight_transforms += counts["weight_forward"]
-        stats.inverse_transforms += counts["inverse"]
-
-        # Partial products accumulate across channel tiles under encryption
-        # (uniform tiles share extraction indices), so one masked
-        # ciphertext returns per output channel.
-        full_cts = [
-            ctx.add_plain(ct, server_polys[tile] % t)
-            for tile, ct in enumerate(cts)
-        ]
-        oh, ow = enc.shape.out_height, enc.shape.out_width
-        y_client = np.zeros((enc.shape.out_channels, oh, ow), dtype=np.int64)
-        y_server = np.zeros_like(y_client)
-        products = self._phase_products(ctx, full_cts, w_polys, enc.shape.out_channels)
-        if self.backend is not None and hasattr(self.backend, "multiply_many"):
-            self._absorb_backend_mults(stats)
-        for m in range(enc.shape.out_channels):
-            acc = None
-            for tile in range(len(full_cts)):
-                prod = products[(m, tile)]
-                acc = prod if acc is None else ctx.add(acc, prod)
-            r = ring.random(self.params.n, rng)
-            ct_out = ctx.sub_plain(acc, r)
-            stats.ciphertexts_returned += 1
-            stats.bytes_received += ciphertext_bytes(self.params)
-            # Server -> client hop.
-            ct_out = self._transfer_ct(ct_out, stats)
-            stats.min_noise_budget = min(
-                stats.min_noise_budget, ctx.noise_budget(party.sk, ct_out)
-            )
-            y_client[m] = ring.reduce(
-                enc.extract_output(ctx.decrypt(party.sk, ct_out))
-            )
-            y_server[m] = ring.reduce(enc.extract_output(r))
-        return y_client, y_server
-
-    def _phase_products(
-        self,
-        ctx: BfvContext,
-        full_cts: List[Ciphertext],
-        w_polys: Dict[Tuple[int, int], np.ndarray],
-        out_channels: int,
-    ) -> Dict[Tuple[int, int], Ciphertext]:
-        """All ``(channel, tile)`` plaintext products of one phase.
-
-        When the backend exposes ``multiply_many`` (the batched runtime
-        backends of :mod:`repro.runtime`), every ciphertext-component
-        product of the phase goes through one batched call; otherwise the
-        original serial ``multiply_plain`` loop runs.  Both paths produce
-        bit-identical ciphertexts.
-        """
-        pairs = [
-            (m, tile)
-            for m in range(out_channels)
-            for tile in range(len(full_cts))
-        ]
-        if self.backend is not None and hasattr(self.backend, "multiply_many"):
-            polys, weights = [], []
-            for m, tile in pairs:
-                w_poly = w_polys[(tile, m)]
-                polys.extend((full_cts[tile].c0, full_cts[tile].c1))
-                weights.extend((w_poly, w_poly))
-            outs = self.backend.multiply_many(polys, weights)
-            return {
-                pair: Ciphertext(outs[2 * i], outs[2 * i + 1])
-                for i, pair in enumerate(pairs)
-            }
-        return {
-            (m, tile): ctx.multiply_plain(
-                full_cts[tile], w_polys[(tile, m)], self.backend
-            )
-            for m, tile in pairs
-        }
-
 
 class HybridLinearProtocol(_ResilientProtocolMixin):
     """Private fully-connected layer ``y = W @ x`` (same one-round flow).
@@ -722,7 +523,7 @@ class HybridLinearProtocol(_ResilientProtocolMixin):
     ):
         self.params = params
         self.shape = shape
-        self.backend = backend
+        self.backend = backend if backend is not None else BatchedNttBackend()
         self.transport = transport
         self.guard = guard
         self.layer_name = layer_name
@@ -795,17 +596,31 @@ class HybridLinearProtocol(_ResilientProtocolMixin):
         # Client -> server hop (resilient transport when configured).
         cts = [self._transfer_ct(ct, stats) for ct in cts]
 
+        # Server: every (chunk, group) product in one batched call, then
+        # one fresh mask per product, drawn in (chunk, group) order.
+        keys = [
+            (chunk, group)
+            for chunk in range(len(cts))
+            for group in range(enc.num_row_groups)
+        ]
+        full = [
+            ctx.add_plain(ct, server_polys[chunk] % t)
+            for chunk, ct in enumerate(cts)
+        ]
+        polys, weights = [], []
+        for chunk, group in keys:
+            polys.extend((full[chunk].c0, full[chunk].c1))
+            weights.extend((w_polys[(chunk, group)],) * 2)
+        outs = self.backend.multiply_many(polys, weights)
+        self._absorb_backend_mults(stats)
         masked = {}
         masks = {}
-        for chunk, ct in enumerate(cts):
-            full = ctx.add_plain(ct, server_polys[chunk] % t)
-            for group in range(enc.num_row_groups):
-                prod = ctx.multiply_plain(
-                    full, w_polys[(chunk, group)], self.backend
-                )
-                r = ring.random(self.params.n, rng)
-                masked[(chunk, group)] = ctx.sub_plain(prod, r)
-                masks[(chunk, group)] = r
+        for i, key in enumerate(keys):
+            r = ring.random(self.params.n, rng)
+            masked[key] = ctx.sub_plain(
+                Ciphertext(outs[2 * i], outs[2 * i + 1]), r
+            )
+            masks[key] = r
         stats.ciphertexts_returned += len(masked)
         stats.bytes_received += len(masked) * ciphertext_bytes(self.params)
 

@@ -6,9 +6,10 @@ The execution layer between the protocol and the transform kernels:
   and precomputed weight spectra.
 * :class:`BatchedHConvEngine` -- clear-domain batched convolution through
   the coefficient encoding (bit-identical to the per-call pipelines).
-* :class:`BatchedNttBackend` / :class:`BatchedFftBackend` -- drop-in
-  polynomial-multiplication backends whose ``multiply_many`` batches the
-  transforms of the encrypted path and fans RNS limbs across workers.
+* :class:`BatchedNttBackend` / :class:`BatchedFftBackend` -- the exact
+  and approximate polynomial-multiplication backends of the encrypted
+  path: ``multiply_many`` batches the transforms and fans RNS limbs
+  across workers.
 * :class:`SparseBatchedFftBackend` -- the FLASH sparse dataflow in the hot
   path: weight transforms run compiled per-pattern skipping/merging plans
   (:class:`repro.sparse.plan.SparsePlan`), bit-identical to the per-call

@@ -36,9 +36,9 @@ from repro.encoding.conv_encoding import (
     pad_input,
 )
 from repro.faults.inject import FaultRecovery
-from repro.fftcore.approx_pipeline import ApproxNegacyclic
+from repro.fftcore.approx_pipeline import ApproxNegacyclic, ApproxSpectrum
 from repro.fftcore.fixed_point import ApproxFftConfig
-from repro.he.backend import FftPolyMulBackend, NttPolyMulBackend
+from repro.he.backend import PolyMulBackend
 from repro.he.poly import RingPoly
 from repro.ntt import find_ntt_primes, get_ntt
 from repro.ntt.modmath import centered, from_centered, mulmod
@@ -48,6 +48,11 @@ from repro.runtime.plan_cache import PlanCache, approx_config_key
 #: Float64 keeps integers exact below this; larger rounded values take the
 #: slow Python-int path so results match the per-call reference exactly.
 _FLOAT_EXACT = float(1 << 53)
+
+#: Default byte budget for the bounded weight-spectrum caches.  Generous for
+#: every test/benchmark workload, but finite: an unbounded cache would grow
+#: without limit across a long-running inference service.
+DEFAULT_SPECTRUM_CACHE_BYTES = 64 << 20
 
 
 def fan_out(
@@ -397,7 +402,6 @@ class BatchedHConvEngine:
         batched plan execution.  Mult counters are charged per requested
         transform so the accounting is cache-warmth independent.
         """
-        from repro.fftcore.approx_pipeline import ApproxSpectrum
         from repro.sparse.opcount import sparse_fft_mults
         from repro.sparse.patterns import fold_valid_indices
         from repro.sparse.plan import SparseWeightPipeline
@@ -741,17 +745,23 @@ def _cluster_multiply_many(backend, kind, pattern, polys, weights_list):
     return outs
 
 
-class BatchedNttBackend(NttPolyMulBackend):
-    """Exact NTT backend with a batched ``multiply_many`` entry point.
+class BatchedNttBackend(PolyMulBackend):
+    """Exact product via the per-prime negacyclic NTT (the baseline).
 
-    Single products behave exactly like :class:`NttPolyMulBackend`; batched
-    calls stack every polynomial's residues per RNS limb and run one
-    ``forward_batch`` / ``inverse_batch`` pass per limb, with limbs fanned
-    across the worker pool.  Weight spectra are cached per
-    ``(degree, prime, weight-bytes)`` in the :class:`PlanCache` (integrity
-    checked: tampered spectra are evicted and recomputed).  A worker that
-    raises mid-limb is retried serially -- bit-identical output, fault
-    recorded in ``last_stats.worker_faults``.
+    ``multiply_many`` stacks every polynomial's residues per RNS limb and
+    runs one ``forward_batch`` / ``inverse_batch`` pass per limb, with limbs
+    fanned across the worker pool.  Each distinct weight polynomial's
+    per-prime spectra are computed once and cached as one
+    ``8 * n * limbs``-byte entry of the :class:`PlanCache` (integrity
+    checked by default: tampered spectra are evicted and recomputed).  A
+    worker that raises mid-limb is retried serially -- bit-identical
+    output, fault recorded in ``last_stats.worker_faults``.
+
+    Figure 1's trade -- "pre-compute and store the weight polynomials in
+    the NTT domain ... 23 GB for a 4-bit ResNet-50" -- is this backend
+    over a ``PlanCache(capacity_bytes=..., on_full="error")``: exceeding
+    the budget raises :class:`MemoryError` (the paper's infeasibility
+    point) instead of evicting.
     """
 
     def __init__(
@@ -774,16 +784,18 @@ class BatchedNttBackend(NttPolyMulBackend):
         if self.fault_injector is not None:
             self.fault_injector.poison(tag)
 
-    def _weight_residue_spectrum(
-        self, n: int, prime: int, weights: np.ndarray
-    ) -> np.ndarray:
-        weights = np.ascontiguousarray(weights, dtype=np.int64)
-        key = ("rns-wspec", n, prime, weights.tobytes())
-        plan = get_ntt(n, prime)
+    def _weight_spectra(self, basis, weights: np.ndarray) -> np.ndarray:
+        """``(limbs, n)`` NTT spectra of one weight polynomial (cached)."""
+        key = ("rns-wspec", basis.n, tuple(basis.primes), weights.tobytes())
         return self.plan_cache.get_or_build(
             key,
-            lambda: plan.forward(
-                (weights % np.int64(prime)).astype(np.uint64)
+            lambda: np.stack(
+                [
+                    get_ntt(basis.n, prime).forward(
+                        (weights % np.int64(prime)).astype(np.uint64)
+                    )
+                    for prime in basis.primes
+                ]
             ),
         )
 
@@ -791,7 +803,7 @@ class BatchedNttBackend(NttPolyMulBackend):
     def multiply_many(
         self, polys: List[RingPoly], weights_list: List[np.ndarray]
     ) -> List[RingPoly]:
-        """Batched plaintext products, bit-identical to serial ``multiply``.
+        """Batched exact plaintext products.
 
         Args:
             polys: ring polynomials sharing one RNS basis.
@@ -808,28 +820,24 @@ class BatchedNttBackend(NttPolyMulBackend):
             )
         basis = polys[0].basis
         count = len(polys)
-        weights_list = [
-            np.ascontiguousarray(w, dtype=np.int64) for w in weights_list
-        ]
         # Weight spectra are built serially (deterministic cache order);
-        # limb jobs below only read plain arrays.
-        w_rows_per_limb = []
-        for prime in basis.primes:
-            w_rows_per_limb.append(
-                np.stack(
-                    [
-                        self._weight_residue_spectrum(basis.n, prime, w)
-                        for w in weights_list
-                    ]
+        # limb jobs below only read the plain (limbs, count, n) stack.
+        w_spectra = np.stack(
+            [
+                self._weight_spectra(
+                    basis, np.ascontiguousarray(w, dtype=np.int64)
                 )
-            )
+                for w in weights_list
+            ],
+            axis=1,
+        )
 
         def limb_job(limb: int) -> np.ndarray:
             self._maybe_poison(("limb", limb))
             prime = basis.primes[limb]
             plan = get_ntt(basis.n, prime)
             rows = np.stack([p.residues[limb] for p in polys])
-            spec = mulmod(plan.forward_batch(rows), w_rows_per_limb[limb], prime)
+            spec = mulmod(plan.forward_batch(rows), w_spectra[limb], prime)
             return plan.inverse_batch(spec)
 
         recovery = FaultRecovery()
@@ -850,15 +858,39 @@ class BatchedNttBackend(NttPolyMulBackend):
         ]
 
 
-class BatchedFftBackend(FftPolyMulBackend):
-    """FLASH FFT backend with batched activation transforms.
+class BatchedFftBackend(PolyMulBackend):
+    """Approximate product via the FLASH folded-FFT pipeline.
 
-    Weight spectra reuse the inherited bounded cache; ``multiply_many``
-    stacks the centered lifts of every ciphertext polynomial and runs the
-    activation transforms, pointwise products and inverse transforms as
-    single batched passes.  The CRT lift and the final rounding/reduction
-    stay in exact Python-int arithmetic (identical to the serial path), so
-    batched results are bit-identical to per-call ``multiply``.
+    Ciphertext polynomials are CRT-lifted to centered integers, multiplied
+    in the FFT domain (weight transform on the approximate fixed-point
+    path, everything else float64), rounded, and reduced back into RNS.
+    ``multiply_many`` stacks the centered lifts of every polynomial and
+    runs the activation transforms, pointwise products and inverse
+    transforms as single batched passes; the CRT lift and the final
+    rounding/reduction stay in exact Python-int arithmetic, so every row
+    is bit-identical to a one-polynomial call.
+
+    Weight spectra are cached: in an HConv the same weight polynomial
+    multiplies both ciphertext components of every input tile, so hardware
+    computes the weight transform once (this is also why the second
+    approach of Section III-B wins -- activation transforms are shared
+    along output channels).
+
+    Args:
+        weight_config: fixed-point configuration for the weight-transform
+            butterflies; ``None`` runs the weight path in float64 (the
+            "FFT (FP)" ablation arm).
+        max_workers: thread-pool width for the lift/reduce stages.
+        fault_injector: optional worker-fault injector (chaos testing).
+        cluster: optional :class:`repro.cluster.ClusterExecutor`.
+        spectrum_cache_bytes: LRU byte budget for cached weight spectra
+            (``None`` disables the bound); the cache never exceeds it.
+            Entries are integrity-checked: a tampered cached spectrum is
+            evicted and recomputed rather than served.
+        plan_cache: optional shared :class:`PlanCache` for the transform
+            pipelines themselves (one :class:`ApproxNegacyclic` per ring
+            degree and weight configuration across every backend sharing
+            it).
     """
 
     _stats_mode = "flash"
@@ -869,17 +901,54 @@ class BatchedFftBackend(FftPolyMulBackend):
         max_workers: Optional[int] = None,
         fault_injector=None,
         cluster=None,
-        **kwargs,
+        spectrum_cache_bytes: Optional[int] = DEFAULT_SPECTRUM_CACHE_BYTES,
+        plan_cache: Optional[PlanCache] = None,
     ):
-        super().__init__(weight_config=weight_config, **kwargs)
+        self.weight_config = weight_config
         self.max_workers = max_workers
         self.fault_injector = fault_injector
         self.cluster = cluster
+        self._pipelines = (
+            plan_cache if plan_cache is not None
+            else PlanCache(max_entries=16)
+        )
+        self._spectrum_cache = PlanCache(
+            capacity_bytes=spectrum_cache_bytes, check_integrity=True
+        )
         self.last_stats = RuntimeStats(mode=self._stats_mode)
 
     def _maybe_poison(self, tag) -> None:
         if self.fault_injector is not None:
             self.fault_injector.poison(tag)
+
+    def pipeline(self, n: int) -> ApproxNegacyclic:
+        cfg = self.weight_config
+        if cfg is not None and cfg.n != n // 2:
+            raise ValueError(
+                f"weight core is {cfg.n}-point but ring needs {n // 2}"
+            )
+        return self._pipelines.get_or_build(
+            ("fft-plan", n, approx_config_key(cfg)),
+            lambda: ApproxNegacyclic(n, cfg),
+        )
+
+    @obs_trace.traced("he.weight_spectrum")
+    def weight_spectrum(self, n: int, weights: np.ndarray) -> ApproxSpectrum:
+        """Cached approximate forward transform of a weight polynomial."""
+        weights = np.ascontiguousarray(weights, dtype=np.int64)
+        pipeline = self.pipeline(n)
+        return self._spectrum_cache.get_or_build(
+            (n, weights.tobytes()),
+            lambda: pipeline.weight_forward(weights),
+        )
+
+    @property
+    def cache_stats(self) -> dict:
+        """Hit/miss/byte statistics of the weight-spectrum cache."""
+        return self._spectrum_cache.stats()
+
+    def clear_cache(self) -> None:
+        self._spectrum_cache.clear()
 
     def _weight_rows(
         self, n: int, weights_list: List[np.ndarray]
@@ -919,6 +988,9 @@ class BatchedFftBackend(FftPolyMulBackend):
 
         def lift_job(index: int) -> np.ndarray:
             self._maybe_poison(("lift", index))
+            # Centered lift loses only bits beyond float64's 53-bit
+            # mantissa -- exactly the LSB error the approximate scheme is
+            # designed to absorb.
             return np.array(
                 [float(v) for v in polys[index].to_centered()],
                 dtype=np.float64,
@@ -1018,7 +1090,6 @@ class SparseBatchedFftBackend(BatchedFftBackend):
     def _weight_rows(
         self, n: int, weights_list: List[np.ndarray]
     ) -> Tuple[np.ndarray, Dict[str, int]]:
-        from repro.fftcore.approx_pipeline import ApproxSpectrum
         from repro.sparse.opcount import sparse_fft_mults
         from repro.sparse.patterns import fold_valid_indices
         from repro.sparse.plan import SparseWeightPipeline

@@ -2,7 +2,7 @@
 
 Every hot path in the repository used to keep its own unbounded dict cache
 (NTT plans in :mod:`repro.ntt.ntt`, weight spectra and FFT pipelines in
-:mod:`repro.he.backend`).  :class:`PlanCache` replaces those with one
+the polynomial-multiplication backends).  :class:`PlanCache` replaces those with one
 byte-accounted LRU structure: entries are keyed by arbitrary hashable
 tuples -- typically ``(kind, degree, modulus)`` for NTT plans and
 ``(kind, degree, config_key, weights_bytes)`` for weight spectra -- and
@@ -13,8 +13,9 @@ Two full-cache policies exist because the paper needs both:
 * ``on_full="evict"`` -- the runtime behaviour: never hold more than
   ``capacity_bytes``, evicting LRU entries (an entry larger than the whole
   capacity is returned but not retained).
-* ``on_full="error"`` -- the Figure 1 memory-wall model used by
-  :class:`repro.he.backend.CachedNttBackend`: exceeding the budget raises
+* ``on_full="error"`` -- the Figure 1 memory-wall model: a
+  :class:`repro.runtime.engine.BatchedNttBackend` over such a cache stores
+  every weight's NTT-domain spectra, and exceeding the budget raises
   :class:`MemoryError`, demonstrating why storing NTT-domain weights is
   infeasible at ResNet scale.
 """

@@ -82,9 +82,21 @@ class TestFlashConfig:
         assert cfg.weight_fft_config().stage_widths == widths
 
     def test_backends(self):
+        from repro.runtime import (
+            BatchedFftBackend,
+            BatchedNttBackend,
+            SparseBatchedFftBackend,
+        )
+
         cfg = FlashConfig(params=toy_preset(n=64))
-        assert cfg.flash_backend().weight_config is not None
-        assert cfg.fp_backend().weight_config is None
+        assert isinstance(cfg.exact_backend(), BatchedNttBackend)
+        flash = cfg.flash_backend()
+        assert type(flash) is BatchedFftBackend
+        assert flash.weight_config == cfg.weight_fft_config()
+        sparse = cfg.sparse_backend(pattern=[0, 1])
+        assert isinstance(sparse, SparseBatchedFftBackend)
+        assert sparse.weight_config == cfg.weight_fft_config()
+        assert list(sparse.pattern) == [0, 1]
 
     def test_describe(self):
         assert "k=5" in FlashConfig(params=toy_preset()).describe()
@@ -201,3 +213,54 @@ class TestReporting:
     def test_zero_values(self):
         out = format_bar_chart(["a"], [0.0])
         assert "0" in out
+
+
+class TestFacadeOneBackendPath:
+    """Every facade call runs on its mode's facade-cached backend; a single
+    input is a batch of one."""
+
+    CONFIG = FlashConfig(params=toy_preset(n=64, share_bits=16))
+
+    @pytest.mark.parametrize("mode", ["ntt", "flash", "sparse"])
+    def test_single_is_batch_of_one(self, small_case, mode):
+        shape, x, w = small_case
+        kw = {"exact": mode == "ntt", "sparse": mode == "sparse"}
+        facade = Flash(self.CONFIG)
+        single = facade.private_conv2d(
+            x, w, shape, np.random.default_rng(11), **kw
+        )
+        (batched,) = Flash(self.CONFIG).private_conv2d(
+            x[None], w, shape, np.random.default_rng(11), batch=True, **kw
+        )
+        for name in ("reconstructed", "client_share", "server_share"):
+            assert np.array_equal(getattr(single, name), getattr(batched, name))
+        assert single.stats == batched.stats
+        # The single call ran on the facade-cached backend.
+        kind = "exact" if mode == "ntt" else mode
+        assert facade._batched_backend(kind, None).last_stats.products > 0
+
+    def test_one_pipeline_per_ring_and_config(self, small_case, monkeypatch):
+        from repro.fftcore.approx_pipeline import ApproxNegacyclic
+        from repro.runtime import approx_config_key
+
+        built = []
+        original = ApproxNegacyclic.__init__
+
+        def counting_init(self, n, weight_config=None, *args, **kwargs):
+            built.append((n, approx_config_key(weight_config)))
+            original(self, n, weight_config, *args, **kwargs)
+
+        monkeypatch.setattr(ApproxNegacyclic, "__init__", counting_init)
+        shape, x, w = small_case
+        flash = Flash(self.CONFIG)
+        rng = np.random.default_rng(12)
+        for sparse in (False, True):
+            flash.private_conv2d(x, w, shape, rng, sparse=sparse)
+            flash.private_conv2d(x[None], w, shape, rng, batch=True, sparse=sparse)
+        flash.private_linear(
+            rng.integers(-8, 8, size=16), rng.integers(-8, 8, size=(4, 16)), rng
+        )
+        n = self.CONFIG.n
+        assert built == [(n, approx_config_key(self.CONFIG.weight_fft_config()))]
+        pipe = flash._batched_backend("flash", None).pipeline(n)
+        assert flash._batched_backend("sparse", None).pipeline(n) is pipe

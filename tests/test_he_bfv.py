@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.he import (
     BfvContext,
     BfvParameters,
-    NttPolyMulBackend,
     cham_preset,
     cheetah_preset,
     flash_backend,
@@ -17,6 +16,7 @@ from repro.he import (
     toy_preset,
 )
 from repro.ntt import negacyclic_convolution_naive
+from repro.runtime import BatchedNttBackend, PlanCache
 
 
 @pytest.fixture(scope="module")
@@ -184,7 +184,7 @@ class TestMultiplyPlain:
             assert diff.max() <= atol
 
     def test_ntt_backend_exact(self, ctx, keys):
-        self._check_multiply(ctx, keys, NttPolyMulBackend())
+        self._check_multiply(ctx, keys, BatchedNttBackend())
 
     def test_fp_fft_backend_exact(self, ctx, keys):
         self._check_multiply(ctx, keys, fp_fft_backend())
@@ -263,11 +263,21 @@ class TestMultiplyPlain:
 
 
 class TestCachedNttBackend:
-    def test_exact_and_caches(self, ctx, keys):
-        from repro.he import CachedNttBackend
+    """Figure 1's stored-NTT-weights trade: the exact backend over a
+    ``PlanCache`` with the ``on_full="error"`` memory-wall policy."""
 
+    @staticmethod
+    def _backend(capacity_bytes=None):
+        return BatchedNttBackend(
+            plan_cache=PlanCache(
+                capacity_bytes=capacity_bytes, on_full="error",
+                check_integrity=True,
+            )
+        )
+
+    def test_exact_and_caches(self, ctx, keys):
         sk, pk = keys
-        backend = CachedNttBackend()
+        backend = self._backend()
         n, t = ctx.params.n, ctx.params.t
         rng = np.random.default_rng(40)
         m = rng.integers(0, 1 << 8, size=n, dtype=np.int64)
@@ -278,15 +288,13 @@ class TestCachedNttBackend:
         expected = negacyclic_convolution_naive(m, w, modulus=t)
         assert np.array_equal(out.astype(np.uint64), expected)
         # One miss for the first component, then hits (c1, repeats).
-        assert backend.misses == 1
+        assert backend.plan_cache.misses == 1
         ctx.multiply_plain(ct, w, backend)
-        assert backend.hits >= 3
+        assert backend.plan_cache.hits >= 3
 
     def test_memory_accounting(self, ctx, keys):
-        from repro.he import CachedNttBackend
-
         _, pk = keys
-        backend = CachedNttBackend()
+        backend = self._backend()
         n = ctx.params.n
         rng = np.random.default_rng(41)
         ct = ctx.encrypt(pk, _random_message(ctx, 42), rng)
@@ -295,13 +303,11 @@ class TestCachedNttBackend:
         ctx.multiply_plain(ct, w, backend)
         # One cached polynomial: n words per RNS prime, 8 bytes each.
         primes = len(ctx.params.basis.primes)
-        assert backend.cached_bytes == 8 * n * primes
+        assert backend.plan_cache.cached_bytes == 8 * n * primes
 
     def test_capacity_enforced(self, ctx, keys):
-        from repro.he import CachedNttBackend
-
         _, pk = keys
-        backend = CachedNttBackend(capacity_bytes=100)
+        backend = self._backend(capacity_bytes=100)
         rng = np.random.default_rng(43)
         ct = ctx.encrypt(pk, _random_message(ctx, 44), rng)
         w = np.zeros(ctx.params.n, dtype=np.int64)

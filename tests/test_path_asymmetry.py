@@ -21,8 +21,9 @@ import numpy as np
 import pytest
 
 from repro.fftcore import ApproxFftConfig, ApproxNegacyclic
-from repro.he import BfvContext, FftPolyMulBackend, toy_preset
+from repro.he import BfvContext, toy_preset
 from repro.ntt import negacyclic_convolution_naive
+from repro.runtime import BatchedFftBackend
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +46,7 @@ def _decrypt_error(bfv, **pipe_kwargs):
     """Worst decrypted-message error with per-path FXP configurations."""
     params, ctx, sk, ct, w, expected = bfv
 
-    class _Backend(FftPolyMulBackend):
+    class _Backend(BatchedFftBackend):
         def pipeline(self, n):
             if n not in self._pipelines:
                 self._pipelines[n] = ApproxNegacyclic(n, **pipe_kwargs)

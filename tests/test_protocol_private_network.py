@@ -7,6 +7,7 @@ from repro.he import BfvParameters, flash_backend
 from repro.nn import (
     QuantizedCnn,
     make_mini_cnn,
+    make_mini_resnet,
     make_synthetic_dataset,
     train,
     train_test_split,
@@ -72,3 +73,22 @@ class TestPrivateCnnEvaluator:
         small = BfvParameters(n=256, plain_modulus=1 << 8, q_bits=(30, 30))
         with pytest.raises(ValueError):
             PrivateCnnEvaluator(qnet, small)
+
+
+class TestResidualNetwork:
+    """Residual joins (``res_push``/``res_add``) under the protocol."""
+
+    @pytest.fixture(scope="class")
+    def qnet(self):
+        ds = make_synthetic_dataset(40, size=8, channels=1, seed=4)
+        model = make_mini_resnet(channels=1, size=8, width=4, seed=0)
+        return QuantizedCnn.from_float(model, ds.images[:20], w_bits=4, a_bits=4), ds
+
+    def test_mini_resnet_infer_matches_plain(self, qnet):
+        net, ds = qnet
+        assert "res_push" in [op[0] for op in net.ops]
+        params = BfvParameters(n=256, plain_modulus=1 << 17, q_bits=(30, 30))
+        evaluator = PrivateCnnEvaluator(net, params)
+        trace = evaluator.infer(ds.images[0], np.random.default_rng(0))
+        assert np.array_equal(trace.logits, trace.expected_logits)
+        assert len(trace.layer_stats) == 4  # conv, conv, conv, linear

@@ -158,18 +158,18 @@ class TestNoiseBudgetGuard:
 
     def _bad_fft_backend(self):
         from repro.fftcore.fixed_point import ApproxFftConfig
-        from repro.he.backend import FftPolyMulBackend
+        from repro.runtime import BatchedFftBackend
 
         # Aggressive approximation the noise model does not see: errors
         # surface only in the observed reconstructed-vs-expected check.
         cfg = ApproxFftConfig(
             n=32, stage_widths=12, twiddle_k=2, twiddle_max_shift=8
         )
-        return FftPolyMulBackend(weight_config=cfg)
+        return BatchedFftBackend(weight_config=cfg)
 
     def test_undersized_q_triggers_predicted_fallback_bit_exact(self):
         from repro.faults import BudgetGuard
-        from repro.he.backend import FftPolyMulBackend
+        from repro.runtime import BatchedFftBackend
         from repro.protocol import make_session
 
         params = self._undersized_params()
@@ -180,7 +180,7 @@ class TestNoiseBudgetGuard:
 
         guard = BudgetGuard(params, policy="fallback")
         guarded = HybridConvProtocol(
-            params, self.SHAPE, backend=FftPolyMulBackend(),
+            params, self.SHAPE, backend=BatchedFftBackend(),
             guard=guard, layer_name="conv0",
         ).run(x, w, np.random.default_rng(42),
               session=make_session(params, np.random.default_rng(9)))
@@ -228,14 +228,14 @@ class TestNoiseBudgetGuard:
 
     def test_raise_policy_aborts_with_noise_budget_error(self):
         from repro.faults import BudgetGuard, NoiseBudgetError
-        from repro.he.backend import FftPolyMulBackend
+        from repro.runtime import BatchedFftBackend
 
         params = self._undersized_params()
         x, w = self._inputs()
         guard = BudgetGuard(params, policy="raise")
         with pytest.raises(NoiseBudgetError, match="predicted"):
             HybridConvProtocol(
-                params, self.SHAPE, backend=FftPolyMulBackend(), guard=guard,
+                params, self.SHAPE, backend=BatchedFftBackend(), guard=guard,
             ).run(x, w, np.random.default_rng(0))
 
     def test_warn_policy_keeps_approximate_result(self):
@@ -278,7 +278,7 @@ class TestNoiseBudgetGuardSparseBatched:
     PR 7 compiled sparse plans into ``multiply_many``; these tests close
     the loop with :class:`TestNoiseBudgetGuard` by proving both guard
     policies behave identically when the protocol's batched path runs the
-    sparse backend instead of the per-call FFT backend.
+    sparse backend instead of the dense FFT backend.
     """
 
     SHAPE = TestNoiseBudgetGuard.SHAPE

@@ -11,7 +11,6 @@ import pytest
 
 from repro.encoding.conv_encoding import ConvShape
 from repro.fftcore.fixed_point import ApproxFftConfig
-from repro.he.backend import NttPolyMulBackend
 from repro.he.poly import RingPoly
 from repro.ntt import RnsBasis
 from repro.runtime import (
@@ -83,9 +82,8 @@ class TestBackendConcurrency:
 
     def test_ntt_backend_workers_byte_identical(self, basis, workload):
         polys, weights = workload
-        serial = NttPolyMulBackend()
         refs = [
-            serial.multiply(p, np.asarray(w, dtype=np.int64))
+            p * RingPoly.from_signed(basis, w)
             for p, w in zip(polys, weights)
         ]
         for workers in WORKER_GRID:

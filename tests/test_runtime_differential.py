@@ -7,8 +7,9 @@ Every batched path must agree with the per-call reference it replaces:
 * the batched approximate-FFT path is bit-identical to per-call
   ``hconv_flash`` / ``hconv_fft``, and its deviation from the exact
   convolution stays within the :mod:`repro.he.noise` error budget;
-* the encrypted ``multiply_many`` backends match serial ``multiply``
-  word for word.
+* the encrypted ``multiply_many`` backends match one-polynomial
+  references word for word: the exact ``RingPoly`` product, and the
+  per-call :class:`ApproxNegacyclic` pipeline with Python-int rounding.
 """
 
 import numpy as np
@@ -17,8 +18,8 @@ import pytest
 from repro.core.hconv import hconv_fft, hconv_flash, hconv_ntt
 from repro.encoding.conv_encoding import ConvShape
 from repro.encoding.plain_eval import conv2d_direct, conv2d_via_polynomials
+from repro.fftcore.approx_pipeline import ApproxNegacyclic
 from repro.fftcore.fixed_point import ApproxFftConfig
-from repro.he.backend import FftPolyMulBackend, NttPolyMulBackend
 from repro.he.noise import fft_error_tolerance
 from repro.he.params import toy_preset
 from repro.he.poly import RingPoly
@@ -34,6 +35,20 @@ N = 128
 FLASH_CFG = ApproxFftConfig(
     n=N // 2, stage_widths=27, twiddle_k=18, twiddle_max_shift=24
 )
+
+
+def per_call_fft_product(
+    pipe: ApproxNegacyclic, poly: RingPoly, weights
+) -> RingPoly:
+    """One-polynomial approximate product: the per-call pipeline methods on
+    the centered lift, then exact Python-int round-and-reduce mod q."""
+    basis = poly.basis
+    q = basis.modulus
+    w_spec = pipe.weight_forward(np.asarray(weights, dtype=np.int64))
+    lift = np.array([float(v) for v in poly.to_centered()], dtype=np.float64)
+    product = pipe.multiply_spectra(w_spec, pipe.activation_forward(lift))
+    ints = [int(round(float(v))) % q for v in product]
+    return RingPoly(basis, basis.to_rns(np.array(ints, dtype=object)))
 
 
 def random_shape_grid(seed: int, count: int):
@@ -139,7 +154,6 @@ class TestEncryptedDifferential:
 
     def test_batched_ntt_backend_matches_serial(self, basis):
         rng = np.random.default_rng(0)
-        serial = NttPolyMulBackend()
         batched = BatchedNttBackend()
         polys, weights = [], []
         for _ in range(6):
@@ -148,7 +162,7 @@ class TestEncryptedDifferential:
             weights.append(rng.integers(-5, 6, size=basis.n))
         outs = batched.multiply_many(polys, weights)
         for poly, w, out in zip(polys, weights, outs):
-            ref = serial.multiply(poly, np.asarray(w, dtype=np.int64))
+            ref = poly * RingPoly.from_signed(basis, w)
             for a, b in zip(out.residues, ref.residues):
                 assert np.array_equal(a, b)
 
@@ -158,7 +172,7 @@ class TestEncryptedDifferential:
             n=basis.n // 2, stage_widths=27, twiddle_k=18,
             twiddle_max_shift=24,
         )
-        serial = FftPolyMulBackend(weight_config=cfg)
+        pipe = ApproxNegacyclic(basis.n, cfg)
         batched = BatchedFftBackend(weight_config=cfg)
         polys, weights = [], []
         for _ in range(5):
@@ -167,7 +181,7 @@ class TestEncryptedDifferential:
             weights.append(rng.integers(-5, 6, size=basis.n))
         outs = batched.multiply_many(polys, weights)
         for poly, w, out in zip(polys, weights, outs):
-            ref = serial.multiply(poly, np.asarray(w, dtype=np.int64))
+            ref = per_call_fft_product(pipe, poly, w)
             for a, b in zip(out.residues, ref.residues):
                 assert np.array_equal(a, b)
 
@@ -180,9 +194,10 @@ class TestEncryptedDifferential:
         rng = np.random.default_rng(7)
         w = rng.integers(-3, 4, size=(3, 2, 3, 3))
         xs = rng.integers(-7, 8, size=(3, 2, 6, 6))
+        # The default (exact) backend against a pooled one.
         plain = HybridConvProtocol(params, shape, backend=None)
         batched = HybridConvProtocol(
-            params, shape, backend=BatchedNttBackend()
+            params, shape, backend=BatchedNttBackend(max_workers=2)
         )
         r_plain = plain.run_batch(xs, w, np.random.default_rng(42))
         r_batch = batched.run_batch(xs, w, np.random.default_rng(42))

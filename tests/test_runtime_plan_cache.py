@@ -12,10 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.he.backend import CachedNttBackend, FftPolyMulBackend
 from repro.he.poly import RingPoly
 from repro.ntt import RnsBasis, get_ntt
-from repro.runtime import PlanCache, approx_config_key, estimate_nbytes
+from repro.runtime import (
+    BatchedFftBackend,
+    BatchedNttBackend,
+    PlanCache,
+    approx_config_key,
+    estimate_nbytes,
+)
 
 # An operation is (key, nbytes): puts insert a payload of that size,
 # gets look the key up.
@@ -138,19 +143,19 @@ class TestPlanCacheProperties:
 
 
 class TestBoundedBackendCaches:
-    """Regression: the ad-hoc unbounded dict caches in repro.he.backend
-    are gone; spectra now live in capacity-honoring PlanCaches."""
+    """Regression: the backends' spectrum caches are capacity-honoring
+    PlanCaches, not unbounded dicts."""
 
     def test_fft_spectrum_cache_honors_capacity(self):
         basis = RnsBasis.generate(64, [30, 30])
         one_spectrum = 64 // 2 * 16 + 8  # complex128 half-spectrum + scale
-        backend = FftPolyMulBackend(
+        backend = BatchedFftBackend(
             spectrum_cache_bytes=3 * one_spectrum
         )
         rng = np.random.default_rng(0)
         poly = RingPoly(basis, basis.to_rns(rng.integers(0, 1 << 20, 64)))
         for i in range(10):
-            backend.multiply(poly, rng.integers(-5, 6, size=64))
+            backend.multiply_many([poly], [rng.integers(-5, 6, size=64)])
             assert (
                 backend._spectrum_cache.cached_bytes <= 3 * one_spectrum
             )
@@ -159,10 +164,10 @@ class TestBoundedBackendCaches:
 
     def test_fft_backend_clear_cache(self):
         basis = RnsBasis.generate(64, [30, 30])
-        backend = FftPolyMulBackend()
+        backend = BatchedFftBackend()
         rng = np.random.default_rng(1)
         poly = RingPoly(basis, basis.to_rns(rng.integers(0, 1 << 20, 64)))
-        backend.multiply(poly, rng.integers(-5, 6, size=64))
+        backend.multiply_many([poly], [rng.integers(-5, 6, size=64)])
         assert len(backend._spectrum_cache) == 1
         backend.clear_cache()
         assert len(backend._spectrum_cache) == 0
@@ -172,23 +177,25 @@ class TestBoundedBackendCaches:
         basis = RnsBasis.generate(64, [30, 30])
         rng = np.random.default_rng(2)
         poly = RingPoly(basis, basis.to_rns(rng.integers(0, 1 << 20, 64)))
-        backend = CachedNttBackend(capacity_bytes=3 * 2 * 64 * 8)
+        cache = PlanCache(capacity_bytes=3 * 2 * 64 * 8, on_full="error")
+        backend = BatchedNttBackend(plan_cache=cache)
         for i in range(3):
-            backend.multiply(poly, rng.integers(-5, 6, size=64))
-        assert backend.misses == 3 and backend.hits == 0
+            backend.multiply_many([poly], [rng.integers(-5, 6, size=64)])
+        assert cache.misses == 3 and cache.hits == 0
         with pytest.raises(MemoryError):
-            backend.multiply(poly, rng.integers(-5, 6, size=64))
-        backend.clear_cache()
-        backend.multiply(poly, rng.integers(-5, 6, size=64))
+            backend.multiply_many([poly], [rng.integers(-5, 6, size=64)])
+        cache.clear()
+        backend.multiply_many([poly], [rng.integers(-5, 6, size=64)])
 
     def test_cached_backend_results_identical_to_fresh(self):
         basis = RnsBasis.generate(64, [30, 30])
         rng = np.random.default_rng(3)
         poly = RingPoly(basis, basis.to_rns(rng.integers(0, 1 << 20, 64)))
         w = rng.integers(-5, 6, size=64)
-        backend = CachedNttBackend()
-        first = backend.multiply(poly, w)
-        second = backend.multiply(poly, w)  # cache hit
-        assert backend.hits == 1
+        cache = PlanCache(on_full="error")
+        backend = BatchedNttBackend(plan_cache=cache)
+        (first,) = backend.multiply_many([poly], [w])
+        (second,) = backend.multiply_many([poly], [w])  # cache hit
+        assert cache.hits == 1
         for a, b in zip(first.residues, second.residues):
             assert np.array_equal(a, b)

@@ -225,8 +225,8 @@ class TestEncryptedSparseDifferential:
         )
 
     def _serial_sparse_multiply(self, poly, weights, cfg):
-        """Per-call encrypted oracle: the FftPolyMulBackend pipeline with
-        the weight transform on SparseApproxNegacyclic."""
+        """Per-call encrypted oracle: the one-polynomial ApproxNegacyclic
+        pipeline with the weight transform on SparseApproxNegacyclic."""
         n = poly.basis.n
         q = poly.basis.modulus
         pipe = ApproxNegacyclic(n, cfg)
