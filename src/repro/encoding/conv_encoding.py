@@ -222,6 +222,17 @@ class Conv2dEncoder:
             )
         self.channels_per_tile = max(1, min(n // self.plane, shape.in_channels))
         self.num_tiles = -(-shape.in_channels // self.channels_per_tile)
+        # Tiles are uniform, so one index vector (output_index over the
+        # out_h x out_w grid) serves every tile.
+        rows = np.arange(shape.out_height, dtype=np.int64) + (shape.kernel_h - 1)
+        cols = np.arange(shape.out_width, dtype=np.int64) + (shape.kernel_w - 1)
+        idx = (
+            (self.channels_per_tile - 1) * self.plane
+            + rows[:, None] * shape.padded_width
+            + cols[None, :]
+        ).reshape(-1)
+        idx.setflags(write=False)
+        self._output_indices = idx
 
     # ------------------------------------------------------------------
     # Tiling helpers
@@ -339,16 +350,9 @@ class Conv2dEncoder:
         )
 
     def output_indices(self, tile: int) -> np.ndarray:
-        """All output coefficient indices of ``tile`` (out_h*out_w vector)."""
-        s = self.shape
-        return np.array(
-            [
-                self.output_index(tile, i, j)
-                for i in range(s.out_height)
-                for j in range(s.out_width)
-            ],
-            dtype=np.int64,
-        )
+        """All output coefficient indices of ``tile`` (out_h*out_w vector,
+        row-major; read-only, shared by every call)."""
+        return self._output_indices
 
     def decode_output(
         self, products: Dict[Tuple[int, int], np.ndarray], signed: bool = True

@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.encoding.conv_encoding import (
     Conv2dEncoder,
@@ -110,21 +111,19 @@ def conv2d_via_polynomials(
 def conv2d_direct(
     x: np.ndarray, w: np.ndarray, stride: int = 1, padding: int = 0
 ) -> np.ndarray:
-    """Reference dense convolution (cross-correlation, integer arithmetic)."""
+    """Reference dense convolution (cross-correlation, integer arithmetic).
+
+    One int64 contraction over a strided window view; integer sums are
+    exact (and wrap identically in any order), so the result does not
+    depend on the summation order.
+    """
     x = np.asarray(x)
     w = np.asarray(w)
-    c, h, width = x.shape
+    c = x.shape[0]
     m, c2, kh, kw = w.shape
     if c != c2:
         raise ValueError(f"channel mismatch: {c} vs {c2}")
-    xp = pad_input(x, padding)
-    hp, wp = xp.shape[1], xp.shape[2]
-    oh = (hp - kh) // stride + 1
-    ow = (wp - kw) // stride + 1
-    out = np.zeros((m, oh, ow), dtype=np.int64)
-    for om in range(m):
-        for i in range(oh):
-            for j in range(ow):
-                patch = xp[:, i * stride : i * stride + kh, j * stride : j * stride + kw]
-                out[om, i, j] = int(np.sum(patch.astype(np.int64) * w[om]))
-    return out
+    xp = pad_input(x, padding).astype(np.int64)
+    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    windows = windows[:, ::stride, ::stride]
+    return np.einsum("chwuv,mcuv->mhw", windows, w.astype(np.int64))

@@ -45,9 +45,8 @@ from repro.ntt.modmath import centered, from_centered, mulmod
 from repro.obs import trace as obs_trace
 from repro.runtime.plan_cache import PlanCache, approx_config_key
 
-#: Float64 keeps integers exact below this; larger rounded values take the
-#: slow Python-int path so results match the per-call reference exactly.
-_FLOAT_EXACT = float(1 << 53)
+#: Rounded values at or beyond this magnitude do not fit int64.
+_INT64_LIMIT = float(1 << 63)
 
 #: Default byte budget for the bounded weight-spectrum caches.  Generous for
 #: every test/benchmark workload, but finite: an unbounded cache would grow
@@ -228,13 +227,18 @@ class _Timer:
 
 def _round_rows_exact(rows: np.ndarray) -> np.ndarray:
     """Round a float ``(J, n)`` batch to int64, bit-compatible with the
-    per-call path's ``int(round(float(v)))`` (both round half-to-even)."""
-    if rows.size and float(np.max(np.abs(rows))) >= _FLOAT_EXACT:
-        return np.array(
-            [[int(round(float(v))) for v in row] for row in rows],
-            dtype=np.int64,
-        )
-    return np.rint(rows).astype(np.int64)
+    per-call path's ``int(round(float(v)))`` (both round half-to-even;
+    doubles of magnitude ``>= 2**53`` are already integral).
+
+    Raises:
+        OverflowError: a rounded value lies outside ``[-2**63, 2**63)``.
+    """
+    rounded = np.rint(rows)
+    if rounded.size and (
+        rounded.max() >= _INT64_LIMIT or rounded.min() < -_INT64_LIMIT
+    ):
+        raise OverflowError("rounded coefficient does not fit int64")
+    return rounded.astype(np.int64)
 
 
 class BatchedHConvEngine:
@@ -858,6 +862,25 @@ class BatchedNttBackend(PolyMulBackend):
         ]
 
 
+def _reduce_float_row(
+    row: np.ndarray, primes: Sequence[int]
+) -> List[np.ndarray]:
+    """Residues of ``round(row)`` modulo each prime.
+
+    The float remainder is exact for every finite double (``fmod`` plus one
+    exact ``+p`` for negative values), so this equals reducing
+    ``int(round(float(v)))`` mod ``q`` and then per prime, including
+    products beyond ``2**63``.
+
+    Raises:
+        OverflowError: a coefficient is infinite or NaN.
+    """
+    rounded = np.rint(row)
+    if not np.isfinite(rounded).all():
+        raise OverflowError("product coefficient is not finite")
+    return [np.mod(rounded, float(p)).astype(np.uint64) for p in primes]
+
+
 class BatchedFftBackend(PolyMulBackend):
     """Approximate product via the FLASH folded-FFT pipeline.
 
@@ -866,9 +889,10 @@ class BatchedFftBackend(PolyMulBackend):
     path, everything else float64), rounded, and reduced back into RNS.
     ``multiply_many`` stacks the centered lifts of every polynomial and
     runs the activation transforms, pointwise products and inverse
-    transforms as single batched passes; the CRT lift and the final
-    rounding/reduction stay in exact Python-int arithmetic, so every row
-    is bit-identical to a one-polynomial call.
+    transforms as single batched passes; the CRT lift (exact int64 Garner
+    recombination) and the final rounding/reduction (exact ``fmod`` per
+    prime) are per-row, so every row is bit-identical to a one-polynomial
+    call.
 
     Weight spectra are cached: in an HConv the same weight polynomial
     multiplies both ciphertext components of every input tile, so hardware
@@ -982,7 +1006,7 @@ class BatchedFftBackend(PolyMulBackend):
                 polys, weights_list,
             )
         basis = polys[0].basis
-        n, q = basis.n, basis.modulus
+        n = basis.n
         pipe = self.pipeline(n)
         w_rows, mult_stats = self._weight_rows(n, weights_list)
 
@@ -990,11 +1014,10 @@ class BatchedFftBackend(PolyMulBackend):
             self._maybe_poison(("lift", index))
             # Centered lift loses only bits beyond float64's 53-bit
             # mantissa -- exactly the LSB error the approximate scheme is
-            # designed to absorb.
-            return np.array(
-                [float(v) for v in polys[index].to_centered()],
-                dtype=np.float64,
-            )
+            # designed to absorb.  Both int64 and Python ints round to
+            # nearest-even on the way to float64.
+            lift = basis.centered_int64 if basis.exact_int64 else basis.centered
+            return lift(polys[index].residues).astype(np.float64)
 
         recovery = FaultRecovery()
         lifts = fan_out(
@@ -1005,10 +1028,8 @@ class BatchedFftBackend(PolyMulBackend):
 
         def reduce_job(index: int) -> RingPoly:
             self._maybe_poison(("reduce", index))
-            ints = [int(round(float(v))) % q for v in products[index]]
-            return RingPoly(
-                basis, basis.to_rns(np.array(ints, dtype=object))
-            )
+            residues = _reduce_float_row(products[index], basis.primes)
+            return RingPoly(basis, residues)
 
         out = fan_out(
             range(len(products)), reduce_job, self.max_workers,

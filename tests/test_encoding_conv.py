@@ -213,6 +213,70 @@ class TestEncoderInternals:
         with pytest.raises(ValueError):
             enc.tile_channels(5)
 
+    @pytest.mark.parametrize("channels,size,kernel,padding", [
+        (8, 4, 3, 0), (5, 4, 3, 1), (1, 6, 1, 0), (3, 5, 2, 1),
+    ])
+    def test_output_indices_match_output_index(
+        self, channels, size, kernel, padding
+    ):
+        shape = ConvShape.square(channels, size, 2, kernel, padding=padding)
+        enc = Conv2dEncoder(shape, 256)
+        for tile in range(enc.num_tiles):
+            expected = [
+                enc.output_index(tile, i, j)
+                for i in range(shape.out_height)
+                for j in range(shape.out_width)
+            ]
+            got = enc.output_indices(tile)
+            assert got.dtype == np.int64
+            assert got.tolist() == expected
+            assert not got.flags.writeable
+
+
+def _conv2d_loop(x, w, stride, padding):
+    """Per-pixel loop reference for :func:`conv2d_direct`."""
+    xp = pad_input(x, padding)
+    m, _, kh, kw = w.shape
+    oh = (xp.shape[1] - kh) // stride + 1
+    ow = (xp.shape[2] - kw) // stride + 1
+    out = np.zeros((m, oh, ow), dtype=np.int64)
+    for om in range(m):
+        for i in range(oh):
+            for j in range(ow):
+                patch = xp[:, i * stride : i * stride + kh, j * stride : j * stride + kw]
+                out[om, i, j] = int(np.sum(patch.astype(np.int64) * w[om]))
+    return out
+
+
+class TestConv2dDirect:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        c=st.integers(1, 4), m=st.integers(1, 3), k=st.integers(1, 3),
+        h=st.integers(3, 9), width=st.integers(3, 9),
+        stride=st.integers(1, 3), padding=st.integers(0, 2),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_loop_reference(self, c, m, k, h, width, stride, padding, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-100, 100, size=(c, h, width))
+        w = rng.integers(-8, 8, size=(m, c, k, k))
+        got = conv2d_direct(x, w, stride=stride, padding=padding)
+        expected = _conv2d_loop(x, w, stride, padding)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
+
+    def test_small_int_dtypes(self):
+        rng = np.random.default_rng(3)
+        x = rng.integers(-128, 127, size=(3, 6, 6)).astype(np.int8)
+        w = rng.integers(-128, 127, size=(2, 3, 3, 3)).astype(np.int8)
+        assert np.array_equal(
+            conv2d_direct(x, w, padding=1), _conv2d_loop(x, w, 1, 1)
+        )
+
+    def test_channel_mismatch(self):
+        with pytest.raises(ValueError):
+            conv2d_direct(np.zeros((2, 4, 4)), np.zeros((1, 3, 3, 3)))
+
 
 class TestDecomposeStrided:
     def test_stride1_identity(self):
