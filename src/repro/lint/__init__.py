@@ -3,8 +3,9 @@
 The numeric core of this codebase rests on invariants that ordinary
 linters cannot see:
 
-* :func:`repro.ntt.modmath.mulmod` is safe only because every
-  intermediate of its 20-bit operand split stays below ``2**63`` -- a raw
+* :func:`repro.ntt.modmath.mulmod` is safe only because its float64
+  quotient is within one of the true quotient, which makes the wrapped
+  uint64 remainder exact -- a raw
   ``a * b % q`` on ``uint64`` arrays silently wraps for ``q`` above
   ~32 bits (MOD001);
 * reducing a difference with ``%`` wraps *before* the reduction on

@@ -1,8 +1,9 @@
 """Modular-arithmetic rules (MOD001, MOD002).
 
 These protect the invariant documented in :mod:`repro.ntt.modmath`: the
-vectorized kernels support moduli up to 40 bits *only* because every
-intermediate of the 20-bit operand split stays below ``2**63``.  A raw
+vectorized kernels support moduli up to 40 bits *only* because the
+float64 quotient of a product is within one of the true quotient, which
+makes the wrapped uint64 remainder exact.  A raw
 ``a * b % q`` on ``uint64`` arrays passes every test at toy moduli and
 silently wraps at ``q`` around ``2**32`` -- exactly the 32/35/39-bit
 regime the F1/CHAM baselines and our RNS bases operate in.
@@ -60,7 +61,7 @@ class RawModularProductRule(Rule):
 
     On ``uint64`` arrays the product wraps modulo ``2**64`` *before* the
     reduction once operands exceed 32 bits; use
-    :func:`repro.ntt.modmath.mulmod` (20-bit split) or
+    :func:`repro.ntt.modmath.mulmod` (float-quotient remainder) or
     :func:`repro.ntt.modmath.powmod` instead.  Scalar Python-int sites are
     exact -- suppress them with a reason.
     """

@@ -1,10 +1,11 @@
 """Vectorized modular arithmetic for NTT-friendly prime moduli.
 
 All routines operate on ``numpy.uint64`` arrays and support moduli up to
-``2**MAX_MODULUS_BITS`` (40 bits).  Products that would overflow 64 bits are
-computed with a 20-bit split of one operand so every intermediate fits in a
-``uint64``; this covers the 32-bit (F1), 35/39-bit (CHAM) and our own RNS
-moduli without arbitrary-precision arithmetic in the hot path.
+``2**MAX_MODULUS_BITS`` (40 bits).  Products use a float64 quotient and a
+wrapped uint64 remainder, additions and subtractions a branch-free
+``np.minimum`` correction, so every kernel is a handful of element-wise
+passes with no arbitrary-precision arithmetic in the hot path.  This
+covers the 32-bit (F1), 35/39-bit (CHAM) and our own RNS moduli.
 """
 
 from __future__ import annotations
@@ -13,15 +14,13 @@ import math
 
 import numpy as np
 
-#: Largest supported modulus width, in bits.  The 20-bit split used by
-#: :func:`mulmod` needs ``q * 2**SPLIT_BITS < 2**63`` and
-#: ``q**2 / 2**SPLIT_BITS < 2**63``.
+#: Largest supported modulus width, in bits.  :func:`mulmod` needs the
+#: float64 quotient of a product of two residues (below ``q``) to be off
+#: by at most one; its relative error is below ``2**-51``, which holds
+#: with a wide margin at 40 bits.  The NTT's float64 limb split
+#: (:class:`repro.ntt.ntt.NegacyclicNtt`) is sized for this width too.
 MAX_MODULUS_BITS = 40
 
-#: Width of the low half in the operand split used by :func:`mulmod`.
-SPLIT_BITS = 20
-
-_SPLIT_MASK = np.uint64((1 << SPLIT_BITS) - 1)
 _U64 = np.uint64
 
 
@@ -44,9 +43,15 @@ def _check_modulus(q: int) -> None:
 def mulmod(a, b, q: int):
     """Element-wise ``(a * b) % q`` for ``uint64`` arrays with ``q < 2**40``.
 
-    ``b`` is split as ``b = b_hi * 2**20 + b_lo``; then
-    ``a*b mod q = ((a*b_hi mod q) << 20 + a*b_lo) mod q`` with every
-    intermediate below ``2**63``.
+    The quotient ``q_hat = rint(a * b * (1/q))`` is computed in float64
+    and the remainder ``a*b - q_hat*q`` in wrapping uint64 arithmetic.
+    Error bound: with ``a, b < q`` the true quotient ``a*b/q`` is below
+    ``q < 2**40``, and three roundings (the product, ``1/q`` and the
+    scaling) give a relative error below ``2**-51``, an absolute error
+    below ``2**-11``.  So ``q_hat`` is within ``1/2 + 2**-11`` (in
+    particular ±1) of the true quotient, the remainder lies in
+    ``(-q, q)`` and is exact modulo ``2**64`` although both products wrap,
+    and one ``np.minimum`` correction maps it onto ``[0, q)``.
 
     Args:
         a: array-like of residues in ``[0, q)``.
@@ -60,39 +65,47 @@ def mulmod(a, b, q: int):
     qa = _U64(q)
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
-    b_hi = b >> _U64(SPLIT_BITS)
-    b_lo = b & _SPLIT_MASK
-    # repro-lint: disable=MOD001  this IS the split kernel: b_hi < 2**20 and
-    # q < 2**40 keep a * b_hi below 2**60, inside uint64
-    hi = (a * b_hi) % qa
-    return ((hi << _U64(SPLIT_BITS)) + a * b_lo) % qa
+    # repro-lint: disable=DTYPE001  residues are < q < 2**40, exact in float64
+    q_hat = a.astype(np.float64) * b.astype(np.float64)
+    q_hat = np.rint(q_hat * (1.0 / q)).astype(np.uint64)
+    with np.errstate(over="ignore"):  # wrapping is intended (scalar inputs)
+        r = a * b - q_hat * qa
+    return np.minimum(r, r + qa)
 
 
 def addmod(a, b, q: int):
-    """Element-wise ``(a + b) % q`` without overflow for ``q < 2**40``."""
+    """Element-wise ``(a + b) % q`` without overflow for ``q < 2**40``.
+
+    ``s - q`` wraps to a huge value exactly when ``s < q``, so
+    ``min(s, s - q)`` is the reduced sum.
+    """
     _check_modulus(q)
-    qa = _U64(q)
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
     s = a + b
-    return np.where(s >= qa, s - qa, s)
+    return np.minimum(s, s - _U64(q))
 
 
 def submod(a, b, q: int):
-    """Element-wise ``(a - b) % q`` staying inside unsigned arithmetic."""
+    """Element-wise ``(a - b) % q`` staying inside unsigned arithmetic.
+
+    ``d = a - b`` wraps to a huge value exactly when ``a < b``; then
+    ``d + q`` wraps back into ``[0, q)``, so ``min(d, d + q)`` is the
+    reduced difference.
+    """
     _check_modulus(q)
-    qa = _U64(q)
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
-    return np.where(a >= b, a - b, a + qa - b)
+    d = a - b
+    return np.minimum(d, d + _U64(q))
 
 
 def negmod(a, q: int):
-    """Element-wise ``(-a) % q``."""
+    """Element-wise ``(-a) % q``: ``min(q - a, q - a - q)`` maps 0 to 0."""
     _check_modulus(q)
     qa = _U64(q)
-    a = np.asarray(a, dtype=np.uint64)
-    return np.where(a == 0, a, qa - a)
+    d = qa - np.asarray(a, dtype=np.uint64)
+    return np.minimum(d, d - qa)
 
 
 def powmod(base: int, exponent: int, q: int) -> int:

@@ -11,8 +11,9 @@ from repro.ntt import modmath
 PRIME_39 = modmath.find_ntt_primes(39, 4096)[0]
 PRIME_30 = modmath.find_ntt_primes(30, 4096)[0]
 # The largest supported modulus class: a full 40-bit NTT prime.  This is
-# the boundary the MOD001 lint rule protects -- the 20-bit split of mulmod
-# needs q * 2**20 < 2**63, which holds up to exactly MAX_MODULUS_BITS.
+# the boundary the MOD001 lint rule protects -- the float64 quotient of
+# mulmod must stay within one of a * b / q < q, which holds with a wide
+# margin up to MAX_MODULUS_BITS.
 PRIME_40 = modmath.find_ntt_primes(modmath.MAX_MODULUS_BITS, 4096)[0]
 
 # Operands clustered at the dangerous end of the range: near q-1 the raw
@@ -99,9 +100,12 @@ class TestBoundaryModuli:
 
     def test_prime_is_at_the_bit_limit(self):
         assert PRIME_40.bit_length() == modmath.MAX_MODULUS_BITS
-        # The split-safety preconditions documented in modmath.
-        assert PRIME_40 << modmath.SPLIT_BITS < 1 << 63
-        assert PRIME_40**2 >> modmath.SPLIT_BITS < 1 << 63
+        # The float-quotient preconditions documented in mulmod: the
+        # quotient (< q) carries a relative error below 2**-51, so its
+        # absolute error stays below 1, and the remainder in (-q, q) fits
+        # a signed 64-bit word.
+        assert PRIME_40 * 2.0**-51 < 1
+        assert 2 * PRIME_40 < 1 << 63
 
     @given(a=_boundary, b=_boundary)
     @settings(max_examples=300, deadline=None)
