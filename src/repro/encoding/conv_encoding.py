@@ -294,24 +294,30 @@ class Conv2dEncoder:
                 f"expected {(s.out_channels, s.in_channels, s.kernel_h, s.kernel_w)},"
                 f" got {w.shape}"
             )
-        wp = s.padded_width
+        slots = self._weight_slots()
         out: Dict[Tuple[int, int], np.ndarray] = {}
         for tile in range(self.num_tiles):
-            cw = self._tile_width(tile)
+            # Channels past C are zero-padded virtual channels: their slots
+            # stay zero.
+            channels = self.tile_channels(tile)
+            stop = min(channels.stop, s.in_channels)
+            polys = np.zeros((s.out_channels, self.n), dtype=np.int64)
+            polys[:, slots[: stop - channels.start]] = w[:, channels.start : stop]
             for m in range(s.out_channels):
-                poly = np.zeros(self.n, dtype=np.int64)
-                for local, c in enumerate(self.tile_channels(tile)):
-                    if c >= s.in_channels:
-                        continue  # zero-padded virtual channel
-                    base = (cw - 1 - local) * self.plane
-                    for u in range(s.kernel_h):
-                        for v in range(s.kernel_w):
-                            idx = base + (s.kernel_h - 1 - u) * wp + (
-                                s.kernel_w - 1 - v
-                            )
-                            poly[idx] = w[m, c, u, v]
-                out[(tile, m)] = poly
+                out[(tile, m)] = polys[m]
         return out
+
+    def _weight_slots(self) -> np.ndarray:
+        """``(cw, kh, kw)`` coefficient slot of ``w[m, c, u, v]`` for the
+        tile-local channel ``c`` (identical for every tile)."""
+        s = self.shape
+        cw = self.channels_per_tile
+        local = (cw - 1 - np.arange(cw, dtype=np.int64)) * self.plane
+        rows = (s.kernel_h - 1 - np.arange(s.kernel_h, dtype=np.int64)) * (
+            s.padded_width
+        )
+        cols = s.kernel_w - 1 - np.arange(s.kernel_w, dtype=np.int64)
+        return local[:, None, None] + rows[None, :, None] + cols[None, None, :]
 
     def weight_valid_indices(self, tile: int) -> np.ndarray:
         """Coefficient slots a weight polynomial of ``tile`` may occupy.
@@ -320,16 +326,7 @@ class Conv2dEncoder:
         exactly the structural sparsity the skipping/merging dataflow is
         configured with (one dataflow per layer, Section IV-B).
         """
-        s = self.shape
-        cw = self._tile_width(tile)
-        wp = s.padded_width
-        idx = []
-        for local in range(cw):
-            base = (cw - 1 - local) * self.plane
-            for u in range(s.kernel_h):
-                for v in range(s.kernel_w):
-                    idx.append(base + u * wp + v)
-        return np.array(sorted(idx), dtype=np.int64)
+        return np.sort(self._weight_slots().reshape(-1))
 
     def weight_sparsity(self, tile: int = 0) -> float:
         """Fraction of zero slots in a weight polynomial of ``tile``."""

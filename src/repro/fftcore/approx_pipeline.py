@@ -21,7 +21,11 @@ from typing import Optional
 import numpy as np
 
 from repro.fftcore.fixed_point import ApproxFftConfig, FixedPointFft, FxpFormat
-from repro.fftcore.negacyclic import NegacyclicFft, round_to_integers
+from repro.fftcore.negacyclic import (
+    NegacyclicFft,
+    one_row,
+    round_to_integers,
+)
 
 
 def _next_pow2(x: float) -> float:
@@ -107,86 +111,40 @@ class ApproxNegacyclic:
         )
 
     def weight_forward(self, weight) -> ApproxSpectrum:
-        """Transform an integer weight polynomial on the approximate path.
+        """:meth:`weight_forward_batch` of one integer weight polynomial."""
+        spec = self.weight_forward_batch(one_row(weight, self.n)[None])
+        return ApproxSpectrum(
+            values=spec.values[0], scale=float(np.ravel(spec.scale)[0])
+        )
 
-        The folded vector is normalized by a power of two so its real and
+    def activation_forward(self, activation) -> np.ndarray:
+        """:meth:`activation_forward_batch` of one polynomial."""
+        row = one_row(activation, self.n)[None]
+        return self.activation_forward_batch(row)[0]
+
+    def multiply_spectra(self, weight_spec: ApproxSpectrum, act_spec) -> np.ndarray:
+        """:meth:`multiply_spectra_batch` of one spectrum pair."""
+        act = one_row(act_spec, self.n // 2)[None]
+        return self.multiply_spectra_batch(weight_spec.values, act)[0]
+
+    # ------------------------------------------------------------------
+    # Batched transforms (the single-row methods above are batches of one)
+    # ------------------------------------------------------------------
+    #
+    # Normalization scales are computed per row and every transform stage
+    # is element-wise, so each row's result is independent of its batch.
+
+    def weight_forward_batch(self, weights) -> ApproxSpectrum:
+        """Transform a ``(B, n)`` integer weight stack on the approximate path.
+
+        Each folded row is normalized by a power of two so its real and
         imaginary parts fit the fixed-point range ``[-1, 1)``; the folding
         twist rotation can push parts up to ``sqrt(2) *`` the coefficient
         magnitude, hence the guard factor.
-        """
-        weight = np.asarray(weight, dtype=np.float64)
-        folded = self.base.fold(weight)
-        if self._weight_fft is None:
-            from repro.fftcore.reference import fft_dit
-
-            return ApproxSpectrum(values=fft_dit(folded, sign=+1), scale=1.0)
-        part_max = max(
-            float(np.max(np.abs(folded.real))),
-            float(np.max(np.abs(folded.imag))),
-            1.0,
-        )
-        scale = _next_pow2(part_max * (1.0 + 2.0 ** -20))
-        spectrum = self._weight_fft(folded / scale)
-        unscaled = spectrum / self._weight_fft.output_scale * scale
-        return ApproxSpectrum(values=unscaled, scale=scale)
-
-    def activation_forward(self, activation) -> np.ndarray:
-        """Forward transform of an activation/ciphertext polynomial.
-
-        Runs on FP units (exact float64) unless an ``activation_config``
-        was supplied (ablation mode).
-        """
-        activation = np.asarray(activation, dtype=np.float64)
-        if self._activation_fft is None:
-            return self.base.forward(activation)
-        folded = self.base.fold(activation)
-        part_max = max(
-            float(np.max(np.abs(folded.real))),
-            float(np.max(np.abs(folded.imag))),
-            1.0,
-        )
-        scale = _next_pow2(part_max * (1.0 + 2.0 ** -20))
-        spectrum = self._activation_fft(folded / scale)
-        return spectrum / self._activation_fft.output_scale * scale
-
-    def multiply_spectra(self, weight_spec: ApproxSpectrum, act_spec) -> np.ndarray:
-        """Point-wise multiply and inverse-transform; returns float coeffs.
-
-        The inverse runs on FP units unless an ``inverse_config`` was
-        supplied (ablation mode; see ``tests/test_path_asymmetry.py`` for
-        the measured per-path sensitivities).
-        """
-        product = weight_spec.values * np.asarray(act_spec)
-        if self._inverse_fft is None:
-            return self.base.inverse(product)
-        part_max = max(
-            float(np.max(np.abs(product.real))),
-            float(np.max(np.abs(product.imag))),
-            1.0,
-        )
-        scale = _next_pow2(part_max * (1.0 + 2.0 ** -20))
-        half = self.n // 2
-        core = self._inverse_fft(product / scale)
-        core = core / self._inverse_fft.output_scale * scale
-        c = core / half * self.base._unfold_twist
-        out = np.empty(self.n, dtype=np.float64)
-        out[:half] = c.real
-        out[half:] = c.imag
-        return out
-
-    # ------------------------------------------------------------------
-    # Batched variants (vectorized over a leading batch axis)
-    # ------------------------------------------------------------------
-    #
-    # Normalization scales are computed per row with the same formula as the
-    # per-call methods and every transform stage is element-wise, so each
-    # batch row is bit-identical to the corresponding per-call result.
-
-    def weight_forward_batch(self, weights) -> ApproxSpectrum:
-        """Batched :meth:`weight_forward` of a ``(B, n)`` weight stack.
 
         Returns an :class:`ApproxSpectrum` whose ``values`` are ``(B, n/2)``
-        and whose ``scale`` is the ``(B,)`` per-row normalization vector.
+        and whose ``scale`` is the ``(B,)`` per-row normalization vector
+        (the scalar ``1.0`` on the float64 weight path).
         """
         weights = np.atleast_2d(np.asarray(weights, dtype=np.float64))
         folded = self.base.fold_batch(weights)
@@ -202,7 +160,11 @@ class ApproxNegacyclic:
         return ApproxSpectrum(values=unscaled, scale=scale)
 
     def activation_forward_batch(self, activations) -> np.ndarray:
-        """Batched :meth:`activation_forward` of a ``(B, n)`` stack."""
+        """Forward transforms of a ``(B, n)`` activation/ciphertext stack.
+
+        Runs on FP units (exact float64) unless an ``activation_config``
+        was supplied (ablation mode).
+        """
         activations = np.atleast_2d(np.asarray(activations, dtype=np.float64))
         if self._activation_fft is None:
             return self.base.forward_batch(activations)
@@ -212,7 +174,11 @@ class ApproxNegacyclic:
         return spectrum / self._activation_fft.output_scale * scale[:, None]
 
     def multiply_spectra_batch(self, weight_values, act_spec) -> np.ndarray:
-        """Batched point-wise multiply + inverse; returns ``(B, n)`` floats.
+        """Point-wise multiply and inverse-transform; ``(B, n)`` float coeffs.
+
+        The inverse runs on FP units unless an ``inverse_config`` was
+        supplied (ablation mode; see ``tests/test_path_asymmetry.py`` for
+        the measured per-path sensitivities).
 
         Args:
             weight_values: unscaled weight spectra, ``(B, n/2)`` or

@@ -14,13 +14,12 @@ compensated when spectra are consumed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.fftcore.reference import stage_twiddles
+from repro.fftcore.reference import dit, dit_tables
 from repro.fftcore.twiddle_quant import TwiddleRom
-from repro.ntt.modmath import bit_reverse_indices
 
 
 @dataclass(frozen=True)
@@ -45,16 +44,30 @@ class FxpFormat:
     def max_value(self) -> float:
         return 1.0 - self.ulp
 
+    def quantizer(self, prescale: float = 1.0) -> Callable[[np.ndarray], None]:
+        """In-place ``f <- clip(rint(f * prescale / ulp)) * ulp`` on float64
+        arrays; ``prescale`` is a power of two, so the scaling is exact."""
+        up, limit, ulp = prescale * 2.0**self.frac_bits, 2.0**self.frac_bits, self.ulp
+
+        def quantize(f: np.ndarray) -> None:
+            f *= up
+            np.rint(f, out=f)
+            np.clip(f, -limit, limit - 1.0, out=f)
+            f *= ulp
+
+        return quantize
+
     def quantize(self, x: np.ndarray) -> np.ndarray:
         """Round-to-nearest onto the grid, saturating at the format range."""
-        scaled = np.rint(np.asarray(x, dtype=np.float64) / self.ulp)
-        limit = 2.0**self.frac_bits
-        scaled = np.clip(scaled, -limit, limit - 1)
-        return scaled * self.ulp
+        out = np.array(x, dtype=np.float64)
+        self.quantizer()(out)
+        return out
 
     def quantize_complex(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.complex128)
-        return self.quantize(x.real) + 1j * self.quantize(x.imag)
+        """:meth:`quantize` of both parts, on the float64 view of a copy."""
+        out = np.array(x, dtype=np.complex128, order="C")
+        self.quantizer()(out.reshape(-1).view(np.float64))
+        return out
 
 
 @dataclass
@@ -109,6 +122,10 @@ class FixedPointFft:
 
     The transform computes ``FFT(x) * 2**-stages`` (sign per ``sign``
     argument); :attr:`output_scale` records the factor to divide out.
+    Every stage computes ``(lo +- w * hi) / 2`` and rounds both parts onto
+    that stage's ``dw``-bit grid; the halving is folded into the
+    quantizer's power-of-two pre-scale (exact, see
+    ``docs/algorithms.md``).
 
     Args:
         config: the :class:`ApproxFftConfig`.
@@ -121,18 +138,23 @@ class FixedPointFft:
         self.config = config
         self.sign = sign
         n = config.n
-        self._rev = bit_reverse_indices(n)
+        self._rev, exact_tw = dit_tables(n, sign)
         self._rom = (
             TwiddleRom(n, config.twiddle_k, config.twiddle_max_shift, sign)
             if config.twiddle_k
             else None
         )
-        self._stage_tw = []
-        for s in range(1, config.stages + 1):
-            if self._rom is not None:
-                self._stage_tw.append(self._rom.stage_values(s))
-            else:
-                self._stage_tw.append(stage_twiddles(n, s, sign))
+        self._stage_tw = (
+            [self._rom.stage_values(s) for s in range(1, config.stages + 1)]
+            if self._rom is not None
+            else exact_tw
+        )
+        self._input_fmt = (
+            FxpFormat(config.input_width) if config.input_width is not None else None
+        )
+        self._stage_q = [
+            FxpFormat(dw).quantizer(prescale=0.5) for dw in config.stage_widths
+        ]
 
     @property
     def output_scale(self) -> float:
@@ -145,55 +167,26 @@ class FixedPointFft:
 
     def __call__(self, x) -> np.ndarray:
         """Run the fixed-point transform on complex input in ``[-1, 1)``."""
-        cfg = self.config
         x = np.asarray(x, dtype=np.complex128)
-        if x.shape != (cfg.n,):
-            raise ValueError(f"expected shape ({cfg.n},), got {x.shape}")
-        if cfg.input_width is not None:
-            x = FxpFormat(cfg.input_width).quantize_complex(x)
-        out = x[self._rev].copy()
-        for s in range(1, cfg.stages + 1):
-            m = 1 << s
-            half = m >> 1
-            w = self._stage_tw[s - 1]
-            out = out.reshape(-1, m)
-            lo = out[:, :half].copy()
-            hi = out[:, half:] * w
-            # Halving keeps magnitudes in [-1, 1) regardless of stage count.
-            out[:, :half] = (lo + hi) * 0.5
-            out[:, half:] = (lo - hi) * 0.5
-            out = out.reshape(-1)
-            out = FxpFormat(cfg.stage_widths[s - 1]).quantize_complex(out)
-        return out
+        if x.shape != (self.config.n,):
+            raise ValueError(f"expected shape ({self.config.n},), got {x.shape}")
+        return self.batch(x)
 
     def batch(self, x) -> np.ndarray:
-        """Batched bit-true transform over the last axis of ``(..., n)``.
+        """Bit-true transform over the last axis of ``(..., n)``.
 
         Quantization and the scaled butterflies are element-wise, so each
-        row's output is bit-identical to a per-row :meth:`__call__`.
+        row's output is independent of the batch it runs in.
         """
-        cfg = self.config
+        n = self.config.n
         x = np.asarray(x, dtype=np.complex128)
-        if x.ndim < 1 or x.shape[-1] != cfg.n:
+        if x.ndim < 1 or x.shape[-1] != n:
             raise ValueError(
-                f"batch must have last axis {cfg.n}, got shape {x.shape}"
+                f"batch must have last axis {n}, got shape {x.shape}"
             )
-        lead = x.shape[:-1]
-        if cfg.input_width is not None:
-            x = FxpFormat(cfg.input_width).quantize_complex(x)
-        out = x[..., self._rev].reshape(-1).copy()
-        for s in range(1, cfg.stages + 1):
-            m = 1 << s
-            half = m >> 1
-            w = self._stage_tw[s - 1]
-            out = out.reshape(-1, m)
-            lo = out[:, :half].copy()
-            hi = out[:, half:] * w
-            out[:, :half] = (lo + hi) * 0.5
-            out[:, half:] = (lo - hi) * 0.5
-            out = out.reshape(-1)
-            out = FxpFormat(cfg.stage_widths[s - 1]).quantize_complex(out)
-        return out.reshape(lead + (cfg.n,))
+        if self._input_fmt is not None:
+            x = self._input_fmt.quantize_complex(x)
+        return dit(x, self._rev, self._stage_tw, self._stage_q)
 
     @property
     def plan_bytes(self) -> int:

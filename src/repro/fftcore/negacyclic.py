@@ -25,6 +25,14 @@ import numpy as np
 from repro.fftcore.reference import fft_dit, fft_dit_batch
 
 
+def one_row(x, length: int) -> np.ndarray:
+    """``x`` as an array, checked to be a single length-``length`` row."""
+    x = np.asarray(x)
+    if x.shape != (length,):
+        raise ValueError(f"expected shape ({length},), got {x.shape}")
+    return x
+
+
 def _check_pow2(n: int) -> None:
     if n < 2 or n & (n - 1):
         raise ValueError(f"length must be a power of two >= 2, got {n}")
@@ -93,10 +101,7 @@ class NegacyclicFft:
 
     def fold(self, a) -> np.ndarray:
         """Pack real length-n ``a`` into the twisted complex length-n/2 vector."""
-        a = np.asarray(a, dtype=np.float64)
-        if a.shape != (self.n,):
-            raise ValueError(f"expected shape ({self.n},), got {a.shape}")
-        return (a[: self.half] + 1j * a[self.half:]) * self._fold_twist
+        return self.fold_batch(one_row(a, self.n))
 
     def forward(self, a) -> np.ndarray:
         """Spectrum ``p(zeta^(4k+1))``, ``k = 0..n/2-1`` (complex length n/2).
@@ -104,29 +109,19 @@ class NegacyclicFft:
         Computed as an unnormalized inverse-sign DFT of the folded vector:
         ``F_k = sum_j c_j * exp(+2*pi*i*j*k/(n/2))``.
         """
-        return fft_dit(self.fold(a), sign=+1)
+        return self.forward_batch(one_row(a, self.n))
 
     def inverse(self, spectrum) -> np.ndarray:
         """Recover real length-n coefficients from a forward spectrum."""
-        spectrum = np.asarray(spectrum, dtype=np.complex128)
-        if spectrum.shape != (self.half,):
-            raise ValueError(
-                f"expected shape ({self.half},), got {spectrum.shape}"
-            )
-        c = fft_dit(spectrum, sign=-1) / self.half * self._unfold_twist
-        out = np.empty(self.n, dtype=np.float64)
-        out[: self.half] = c.real
-        out[self.half:] = c.imag
-        return out
+        return self.inverse_batch(one_row(spectrum, self.half))
 
     def multiply(self, a, b) -> np.ndarray:
         """Negacyclic product of two real vectors (float64, not rounded)."""
         return self.inverse(self.forward(a) * self.forward(b))
 
-    # -- batched variants (vectorized over leading axes) -----------------
-    #
-    # Folding, twisting and the butterfly stages are all element-wise, so
-    # each batch row is bit-identical to the corresponding per-call result.
+    # -- batched variants (the single-row methods above are batches of
+    # one).  Folding, twisting and the butterfly stages are element-wise,
+    # so each row's result is independent of its batch.
 
     def fold_batch(self, a) -> np.ndarray:
         """Fold ``(..., n)`` real batches into ``(..., n/2)`` twisted complex."""

@@ -5,12 +5,15 @@ butterfly pipeline of :class:`repro.fftcore.fixed_point.FixedPointFft`
 and reports every stage whose worst-case intermediate exceeds what its
 declared register width can absorb (rule **BW001**).
 
-Datapath contract (mirrors ``FixedPointFft.__call__``):
+Datapath contract (mirrors the fused stage loop of
+``FixedPointFft.batch``, which ``FixedPointFft.__call__`` runs as a batch
+of one):
 
 * Stage registers store complex parts as signed fixed-point in
   ``[-1, 1)`` with ``dw_s`` total bits.
 * Inputs have complex magnitude at most 1 -- the pipeline guarantees this
-  with its power-of-two normalization (``approx_pipeline.weight_forward``).
+  with its power-of-two normalization
+  (``approx_pipeline.weight_forward_batch``).
 * One butterfly computes ``(lo +- w * hi) / 2``:
 
   - the **twiddle multiply** scales the magnitude bound by
@@ -19,7 +22,8 @@ Datapath contract (mirrors ``FixedPointFft.__call__``):
     circle by up to ``~2**(1-k)``, and that overshoot *compounds* across
     stages -- this is the ``k``-term bound of the analysis;
   - the **butterfly add** doubles the worst case (+1 bit), and the
-    architectural halving takes that bit back, so the net stage gain is
+    architectural halving (folded into the quantizer's power-of-two
+    pre-scale) takes that bit back, so the net stage gain is
     ``(1 + W_s) / 2``;
   - the **per-stage truncation** to ``dw_s`` bits rounds each part by up
     to half a ULP, adding ``sqrt(2) * 2**-dw_s`` to the magnitude bound.

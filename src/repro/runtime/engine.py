@@ -110,6 +110,57 @@ def _split_groups(items: Sequence, groups: int) -> List[list]:
     return [items[i : i + size] for i in range(0, len(items), size)]
 
 
+def batched_weight_spectra(
+    cache: PlanCache,
+    keys: Sequence[Hashable],
+    weights: Sequence[np.ndarray],
+    forward_batch: Callable[[np.ndarray], ApproxSpectrum],
+) -> List[ApproxSpectrum]:
+    """Cached weight spectra, with every miss of the call in one batch.
+
+    ``keys[i]`` is the cache key of ``weights[i]``.  The weights whose keys
+    are missing from ``cache`` are deduplicated by key and transformed in
+    one ``forward_batch`` call; each key is then fetched with
+    ``cache.get_or_build`` in order, so hit/miss counts are those of one
+    lookup per requested weight.  An entry evicted between the miss check
+    and its lookup is rebuilt as a batch of one -- bit-identical, since
+    every row of a batched transform is independent of its batch.
+    """
+    first: Dict[Hashable, int] = {}
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    missing = [key for key in first if key not in cache]
+    built: Dict[Hashable, ApproxSpectrum] = {}
+    if missing:
+        spec = forward_batch(np.stack([weights[first[k]] for k in missing]))
+        built = {k: _spectrum_row(spec, j) for j, k in enumerate(missing)}
+
+    def build(key: Hashable) -> ApproxSpectrum:
+        if key in built:
+            return built[key]
+        return _spectrum_row(forward_batch(weights[first[key]][None, :]), 0)
+
+    return [cache.get_or_build(key, lambda k=key: build(k)) for key in keys]
+
+
+def _spectrum_row(spec: ApproxSpectrum, row: int) -> ApproxSpectrum:
+    """Row ``row`` of a batched spectrum (its scale may be a scalar)."""
+    scale = np.broadcast_to(spec.scale, spec.values.shape[:1])
+    return ApproxSpectrum(values=spec.values[row], scale=float(scale[row]))
+
+
+def _sparse_plan(
+    cache: PlanCache, cfg: ApproxFftConfig, n: int, folded_pattern: np.ndarray
+):
+    """Compiled sparse plan for one folded pattern (cached, digested)."""
+    from repro.sparse.plan import SparsePlan
+
+    key = ("sparse-plan", n // 2, approx_config_key(cfg), folded_pattern.tobytes())
+    return cache.get_or_build(
+        key, lambda: SparsePlan(cfg, folded_pattern, sign=+1)
+    )
+
+
 @dataclass
 class RuntimeStats:
     """Per-run accounting: stage timings, work counts, cache behaviour.
@@ -336,31 +387,16 @@ class BatchedHConvEngine:
             key, lambda: plan.forward(from_centered(w_poly, q))
         )
 
-    def _fft_weight_spectrum(self, pipe: ApproxNegacyclic, w_poly: np.ndarray):
-        w_poly = np.ascontiguousarray(w_poly, dtype=np.int64)
-        key = (
-            "fft-wspec",
-            pipe.n,
-            approx_config_key(self.weight_config),
-            w_poly.tobytes(),
-        )
-        return self.plan_cache.get_or_build(
-            key, lambda: pipe.weight_forward(w_poly)
-        )
-
-    def _sparse_plan(self, n: int, folded_pattern: np.ndarray):
-        """Compiled sparse plan for one folded pattern (cached, digested)."""
-        from repro.sparse.plan import SparsePlan
-
-        cfg = self.weight_config
-        key = (
-            "sparse-plan",
-            n // 2,
-            approx_config_key(cfg),
-            folded_pattern.tobytes(),
-        )
-        return self.plan_cache.get_or_build(
-            key, lambda: SparsePlan(cfg, folded_pattern, sign=+1)
+    def _fft_weight_specs(
+        self, pipe: ApproxNegacyclic, w_polys: List[np.ndarray]
+    ) -> List[ApproxSpectrum]:
+        cfg_key = approx_config_key(self.weight_config)
+        keys = [
+            ("fft-wspec", pipe.n, cfg_key, np.asarray(w, np.int64).tobytes())
+            for w in w_polys
+        ]
+        return batched_weight_spectra(
+            self.plan_cache, keys, w_polys, pipe.weight_forward_batch
         )
 
     def _sparse_poly_spectrum(self, n: int, w_poly: np.ndarray):
@@ -375,7 +411,7 @@ class BatchedHConvEngine:
 
         w_poly = np.ascontiguousarray(w_poly, dtype=np.int64)
         pattern = fold_valid_indices(np.nonzero(w_poly)[0], n)
-        plan = self._sparse_plan(n, pattern)
+        plan = _sparse_plan(self.plan_cache, self.weight_config, n, pattern)
         key = (
             "sparse-wspec",
             n,
@@ -383,12 +419,11 @@ class BatchedHConvEngine:
             pattern.tobytes(),
             w_poly.tobytes(),
         )
-        return self.plan_cache.get_or_build(
-            key,
-            lambda: SparseWeightPipeline(
-                n, self.weight_config, pattern, plan=plan
-            ).weight_forward(w_poly),
+        pipe_s = SparseWeightPipeline(n, self.weight_config, pattern, plan=plan)
+        (spec,) = batched_weight_spectra(
+            self.plan_cache, [key], [w_poly], pipe_s.weight_forward_batch
         )
+        return spec
 
     def _sparse_weight_specs(
         self,
@@ -403,8 +438,9 @@ class BatchedHConvEngine:
         All output channels of a tile share one structural pattern
         (:meth:`Conv2dEncoder.weight_valid_indices`), hence one compiled
         plan; cache-missing spectra of a tile are computed in a single
-        batched plan execution.  Mult counters are charged per requested
-        transform so the accounting is cache-warmth independent.
+        batched plan execution (:func:`batched_weight_spectra`).  Mult
+        counters are charged per requested transform so the accounting is
+        cache-warmth independent.
         """
         from repro.sparse.opcount import sparse_fft_mults
         from repro.sparse.patterns import fold_valid_indices
@@ -414,7 +450,7 @@ class BatchedHConvEngine:
         w_specs: Dict[Tuple[int, int], np.ndarray] = {}
         for tile in sorted({t for t, _ in pairs}):
             pattern = fold_valid_indices(enc.weight_valid_indices(tile), n)
-            plan = self._sparse_plan(n, pattern)
+            plan = _sparse_plan(self.plan_cache, self.weight_config, n, pattern)
             pipe_s = SparseWeightPipeline(
                 n, self.weight_config, pattern, plan=plan
             )
@@ -431,27 +467,14 @@ class BatchedHConvEngine:
                 )
                 for pair in group
             }
-            missing = [p for p in group if keys[p] not in self.plan_cache]
-            built: Dict[Tuple[int, int], ApproxSpectrum] = {}
-            if missing:
-                stack = np.stack([w_polys[p] for p in missing])
-                spec = pipe_s.weight_forward_batch(stack)
-                built = {
-                    p: ApproxSpectrum(
-                        values=spec.values[i], scale=float(spec.scale[i])
-                    )
-                    for i, p in enumerate(missing)
-                }
-            for pair in group:
-                value = self.plan_cache.get_or_build(
-                    keys[pair],
-                    # Evicted between the contains check and here: rebuild
-                    # as a batch of one (bit-identical by construction).
-                    lambda p=pair: built[p]
-                    if p in built
-                    else pipe_s.weight_forward(w_polys[p]),
-                )
-                w_specs[pair] = value.values
+            specs = batched_weight_spectra(
+                self.plan_cache,
+                [keys[pair] for pair in group],
+                [w_polys[pair] for pair in group],
+                pipe_s.weight_forward_batch,
+            )
+            for pair, spec in zip(group, specs):
+                w_specs[pair] = spec.values
             stats.weight_transforms += len(group)
             stats.weight_mults_realized += plan.mults * len(group)
             stats.weight_mults_dense += plan.dense_mults * len(group)
@@ -483,7 +506,7 @@ class BatchedHConvEngine:
         if self.mode == "sparse":
             w_spec = self._sparse_poly_spectrum(n, w_poly)
         else:
-            w_spec = self._fft_weight_spectrum(pipe, w_poly)
+            (w_spec,) = self._fft_weight_specs(pipe, [w_poly])
         a_spec = pipe.activation_forward_batch(a_batch.astype(np.float64))
         return _round_rows_exact(
             pipe.multiply_spectra_batch(w_spec.values, a_spec)
@@ -654,11 +677,11 @@ class BatchedHConvEngine:
                         n, enc, pairs, w_polys, stats
                     )
                 else:
+                    specs = self._fft_weight_specs(
+                        pipe, [w_polys[pair] for pair in pairs]
+                    )
                     w_specs = {
-                        pair: self._fft_weight_spectrum(
-                            pipe, w_polys[pair]
-                        ).values
-                        for pair in pairs
+                        pair: spec.values for pair, spec in zip(pairs, specs)
                     }
                     if self.mode == "flash":
                         # Dense fixed-point weight FFT: every butterfly
@@ -957,14 +980,24 @@ class BatchedFftBackend(PolyMulBackend):
         )
 
     @obs_trace.traced("he.weight_spectrum")
+    def weight_spectra(
+        self, n: int, weights_list: List[np.ndarray]
+    ) -> List[ApproxSpectrum]:
+        """Cached approximate forward transforms of weight polynomials
+        (the call's misses run as one batch)."""
+        weights = [
+            np.ascontiguousarray(w, dtype=np.int64) for w in weights_list
+        ]
+        return batched_weight_spectra(
+            self._spectrum_cache,
+            [(n, w.tobytes()) for w in weights],
+            weights,
+            self.pipeline(n).weight_forward_batch,
+        )
+
     def weight_spectrum(self, n: int, weights: np.ndarray) -> ApproxSpectrum:
         """Cached approximate forward transform of a weight polynomial."""
-        weights = np.ascontiguousarray(weights, dtype=np.int64)
-        pipeline = self.pipeline(n)
-        return self._spectrum_cache.get_or_build(
-            (n, weights.tobytes()),
-            lambda: pipeline.weight_forward(weights),
-        )
+        return self.weight_spectra(n, [weights])[0]
 
     @property
     def cache_stats(self) -> dict:
@@ -984,13 +1017,8 @@ class BatchedFftBackend(PolyMulBackend):
         the ``weight_mults_*`` fields of ``last_stats`` and is returned
         (not stored on ``self``) so concurrent calls stay race-free.
         """
-        rows = np.stack(
-            [
-                self.weight_spectrum(n, np.asarray(w)).values
-                for w in weights_list
-            ]
-        )
-        return rows, {}
+        specs = self.weight_spectra(n, weights_list)
+        return np.stack([spec.values for spec in specs]), {}
 
     @obs_trace.traced("runtime.multiply_many")
     def multiply_many(
@@ -1094,20 +1122,6 @@ class SparseBatchedFftBackend(BatchedFftBackend):
             capacity_bytes=32 << 20, check_integrity=True
         )
 
-    def _sparse_plan(self, n: int, folded_pattern: np.ndarray):
-        from repro.sparse.plan import SparsePlan
-
-        cfg = self.weight_config
-        key = (
-            "sparse-plan",
-            n // 2,
-            approx_config_key(cfg),
-            folded_pattern.tobytes(),
-        )
-        return self.plan_cache.get_or_build(
-            key, lambda: SparsePlan(cfg, folded_pattern, sign=+1)
-        )
-
     def _weight_rows(
         self, n: int, weights_list: List[np.ndarray]
     ) -> Tuple[np.ndarray, Dict[str, int]]:
@@ -1134,7 +1148,7 @@ class SparseBatchedFftBackend(BatchedFftBackend):
         realized = dense = model = transforms = 0
         for idxs in groups.values():
             fp = folded[idxs[0]]
-            plan = self._sparse_plan(n, fp)
+            plan = _sparse_plan(self.plan_cache, self.weight_config, n, fp)
             pipe_s = SparseWeightPipeline(
                 n, self.weight_config, fp, plan=plan
             )
@@ -1145,28 +1159,14 @@ class SparseBatchedFftBackend(BatchedFftBackend):
             unique: Dict[Hashable, List[int]] = {}
             for i in idxs:
                 unique.setdefault(keys[i], []).append(i)
-            missing = [
-                key for key in unique if key not in self._spectrum_cache
-            ]
-            built: Dict[Hashable, ApproxSpectrum] = {}
-            if missing:
-                stack = np.stack([weights[unique[k][0]] for k in missing])
-                spec = pipe_s.weight_forward_batch(stack)
-                built = {
-                    k: ApproxSpectrum(
-                        values=spec.values[j], scale=float(spec.scale[j])
-                    )
-                    for j, k in enumerate(missing)
-                }
-            for key, shared in unique.items():
-                value = self._spectrum_cache.get_or_build(
-                    key,
-                    lambda k=key, i=shared[0]: built[k]
-                    if k in built
-                    else pipe_s.weight_forward(weights[i]),
-                )
-                for i in shared:
-                    rows[i] = value.values
+            specs = batched_weight_spectra(
+                self._spectrum_cache,
+                list(unique),
+                [weights[shared[0]] for shared in unique.values()],
+                pipe_s.weight_forward_batch,
+            )
+            for spec, shared in zip(specs, unique.values()):
+                rows[shared] = spec.values
             mults_model = sparse_fft_mults(
                 tuple(int(v) for v in fp), n // 2
             )

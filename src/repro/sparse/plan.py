@@ -354,6 +354,7 @@ class SparsePlan:
         if self.valid.size:
             self._invalid_mask[self.valid] = False
         self.mults = mults
+        self._pack()
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -371,15 +372,38 @@ class SparsePlan:
             return 0.0
         return 1.0 - self.mults / self.dense_mults
 
-    def _iter_arrays(self) -> Iterator[Tuple[str, np.ndarray]]:
-        yield "valid", self.valid
-        yield "raw_src", self._raw_src
-        yield "raw_tw", self._raw_tw
+    def _array_fields(self) -> Iterator[Tuple[str, object, str]]:
+        """``(name, owner, attribute)`` of every compiled plan array."""
+        yield "valid", self, "valid"
+        yield "raw_src", self, "_raw_src"
+        yield "raw_tw", self, "_raw_tw"
         for s, st in enumerate(self._stage_ops):
             for f in fields(st):
-                yield f"s{s}.{f.name}", getattr(st, f.name)
+                yield f"s{s}.{f.name}", st, f.name
         for f in fields(self._fin):
-            yield f"fin.{f.name}", getattr(self._fin, f.name)
+            yield f"fin.{f.name}", self._fin, f.name
+
+    def _iter_arrays(self) -> Iterator[Tuple[str, np.ndarray]]:
+        for name, owner, attr in self._array_fields():
+            yield name, getattr(owner, attr)
+
+    def _pack(self) -> None:
+        """Make every plan array a view into one buffer per dtype, so the
+        integrity digest folds a few buffers instead of walking hundreds of
+        arrays; a change to any plan array is a change to its buffer."""
+        groups: Dict[str, List[Tuple[object, str, np.ndarray]]] = {}
+        for _, owner, attr in self._array_fields():
+            a = getattr(owner, attr)
+            groups.setdefault(a.dtype.str, []).append((owner, attr, a))
+        self._buffers = []
+        for items in groups.values():
+            buf = np.concatenate([a.reshape(-1) for _, _, a in items])
+            offset = 0
+            for owner, attr, a in items:
+                view = buf[offset : offset + a.size].reshape(a.shape)
+                setattr(owner, attr, view)
+                offset += a.size
+            self._buffers.append(buf)
 
     def _header(self) -> bytes:
         cfg = self.config
@@ -403,11 +427,7 @@ class SparsePlan:
 
     def digest_payload(self):
         """Content walked by :func:`repro.runtime.plan_cache.value_digest`."""
-        payload: List[object] = [self._header()]
-        for name, a in self._iter_arrays():
-            payload.append(name)
-            payload.append(a)
-        return payload
+        return [self._header(), *self._buffers]
 
     def to_bytes(self) -> bytes:
         """Deterministic serialization: same pattern -> byte-identical plan."""

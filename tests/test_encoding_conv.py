@@ -248,6 +248,55 @@ def _conv2d_loop(x, w, stride, padding):
     return out
 
 
+def _encode_weights_loop(enc: Conv2dEncoder, w):
+    """Per-coefficient loop reference for :meth:`Conv2dEncoder.encode_weights`."""
+    s = enc.shape
+    wp = s.padded_width
+    cw = enc.channels_per_tile
+    out = {}
+    for tile in range(enc.num_tiles):
+        for m in range(s.out_channels):
+            poly = np.zeros(enc.n, dtype=np.int64)
+            for local, c in enumerate(enc.tile_channels(tile)):
+                if c >= s.in_channels:
+                    continue  # zero-padded virtual channel
+                base = (cw - 1 - local) * enc.plane
+                for u in range(s.kernel_h):
+                    for v in range(s.kernel_w):
+                        idx = base + (s.kernel_h - 1 - u) * wp + (s.kernel_w - 1 - v)
+                        poly[idx] = w[m, c, u, v]
+            out[(tile, m)] = poly
+    return out
+
+
+class TestEncodeWeightsVectorized:
+    @pytest.mark.parametrize(
+        "shape,n",
+        [
+            (ConvShape.square(8, 4, 3, 3), 64),  # 4 channels/tile, 2 tiles
+            (ConvShape.square(5, 4, 2, 3), 64),  # ragged: virtual channels
+            (ConvShape(3, 5, 7, 2, 2, 3, padding=1), 128),  # non-square
+            (ConvShape.square(7, 6, 4, 1), 64),  # 1x1 kernel, C > per tile
+            (ConvShape.square(100, 6, 16, 3, padding=1), 4096),
+        ],
+    )
+    def test_matches_loop_reference(self, shape, n):
+        enc = Conv2dEncoder(shape, n)
+        rng = np.random.default_rng(n + shape.in_channels)
+        _, w = _rand_case(rng, shape)
+        got = enc.encode_weights(w)
+        ref = _encode_weights_loop(enc, w)
+        assert list(got) == list(ref)  # same (tile, m) order
+        for key, poly in ref.items():
+            assert got[key].dtype == np.int64
+            assert got[key].tobytes() == poly.tobytes()
+        for tile in range(enc.num_tiles):
+            support = np.flatnonzero(
+                np.any([got[(tile, m)] for m in range(shape.out_channels)], axis=0)
+            )
+            assert np.isin(support, enc.weight_valid_indices(tile)).all()
+
+
 class TestConv2dDirect:
     @settings(max_examples=40, deadline=None)
     @given(

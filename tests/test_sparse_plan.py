@@ -183,3 +183,25 @@ class TestPlanCacheIntegration:
             key, lambda: compile_sparse_plan(CFG, (0, 4, 8))
         )
         assert rebuilt is not plan
+
+    def test_every_plan_array_is_covered_by_the_digest(self):
+        # The plan's arrays live in a few packed buffers; a flipped byte in
+        # any one of them must still be detected and evicted.
+        cache = PlanCache(capacity_bytes=8 << 20, check_integrity=True)
+        key = ("sparse-plan", N_CORE, (0, 3, 8, 9, 21))
+        plan = cache.get_or_build(
+            key, lambda: compile_sparse_plan(CFG, (0, 3, 8, 9, 21))
+        )
+        flipped = 0
+        for name, arr in plan._iter_arrays():
+            if not arr.size:
+                continue
+            raw = arr.reshape(-1).view(np.uint8)
+            raw[-1] ^= 0x01
+            assert cache.get(key) is None, name
+            raw[-1] ^= 0x01
+            cache.put(key, plan)
+            assert cache.get(key) is plan
+            flipped += 1
+        assert flipped >= 20
+        assert cache.corruptions == flipped
