@@ -253,10 +253,8 @@ def _cmd_bench_runtime(args: argparse.Namespace) -> int:
             return usage_error(
                 "bench-runtime", f"--{name.replace('_', '-')} must be >= 1"
             )
-    if args.workers < 0 or args.cluster_workers < 0:
-        return usage_error(
-            "bench-runtime", "--workers/--cluster-workers must be >= 0"
-        )
+    if args.cluster_workers < 0:
+        return usage_error("bench-runtime", "--cluster-workers must be >= 0")
 
     rng = np.random.default_rng(args.seed)
     shape = ConvShape.square(
@@ -282,7 +280,7 @@ def _cmd_bench_runtime(args: argparse.Namespace) -> int:
     print(
         f"layer {args.channels}x{args.size}x{args.size} -> "
         f"{args.out_channels} ch, {args.kernel}x{args.kernel} kernel, "
-        f"n={args.n}, batch={args.batch}, workers={args.workers or 1}"
+        f"n={args.n}, batch={args.batch}"
         + (f", cluster={cluster_workers} processes" if cluster_workers else "")
     )
     if args.mode == "both":
@@ -300,7 +298,6 @@ def _cmd_bench_runtime(args: argparse.Namespace) -> int:
             "out_channels": args.out_channels,
             "size": args.size,
             "kernel": args.kernel,
-            "workers": args.workers or 1,
             "cluster_workers": cluster_workers,
             "seed": args.seed,
         },
@@ -313,7 +310,6 @@ def _cmd_bench_runtime(args: argparse.Namespace) -> int:
         engine = BatchedHConvEngine(
             mode=mode,
             weight_config=cfg if mode in ("flash", "sparse") else None,
-            max_workers=args.workers,
             cluster=executor,
         )
         engine.conv2d_batch(xs[:1], w, shape, args.n)  # warm the plan cache
@@ -353,7 +349,6 @@ def _cmd_bench_runtime(args: argparse.Namespace) -> int:
             "speedup": serial_s / batched_s,
             "bit_identical": identical,
             "stage_seconds": dict(stats.stage_seconds),
-            "worker_faults": stats.worker_faults,
             "products": stats.products,
             "cache": engine.plan_cache.stats(),
             "weight_mults": {
@@ -528,10 +523,6 @@ def _cmd_bench_check(args: argparse.Namespace) -> int:
         check(
             mode, "products", cur.get("products") == base.get("products"),
             f"{cur.get('products')} (baseline {base.get('products')})",
-        )
-        check(
-            mode, "worker_faults", cur.get("worker_faults", 0) == 0,
-            f"{cur.get('worker_faults', 0)} recovered faults",
         )
         base_wm = base.get("weight_mults", {})
         cur_wm = cur.get("weight_mults", {})
@@ -722,7 +713,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             iterations=args.iterations,
             max_rate=args.max_rate,
             n=args.n,
-            workers=args.workers,
             cluster=args.cluster,
             cluster_workers=args.cluster_workers,
         )
@@ -1078,8 +1068,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-channels", type=int, default=8)
     p.add_argument("--size", type=int, default=16)
     p.add_argument("--kernel", type=int, default=3)
-    p.add_argument("--workers", type=int, default=0,
-                   help="thread-pool width (0 = serial)")
     p.add_argument("--cluster-workers", type=int, default=0,
                    help="shard across N supervised worker processes "
                         "(repro.cluster; 0 = in-process)")
@@ -1135,7 +1123,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "chaos",
-        help="randomized fault campaign (transport, degradation, runtime)",
+        help="randomized fault campaign (transport, degradation, sparse "
+             "cache)",
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--iterations", type=int, default=10)
@@ -1145,8 +1134,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=int, default=64,
                    help="polynomial degree of the probe parameters")
-    p.add_argument("--workers", type=int, default=2,
-                   help="thread-pool width for the runtime probe")
     p.add_argument("--cluster", action="store_true",
                    help="also run the cluster probe: SIGKILL/hang random "
                         "supervised worker processes mid-campaign and "

@@ -49,8 +49,8 @@ def _split_indices(total: int, shards: int) -> List[Tuple[int, int]]:
 class ClusterExecutor:
     """Shard batched conv / ``multiply_many`` work across worker processes.
 
-    Like the thread-pool engines, the executor object is confined to the
-    submitting thread; the worker processes share nothing with it but the
+    Like the in-process engines, the executor object is confined to its
+    calling thread; the worker processes share nothing with it but the
     job pipes.
 
     Args:

@@ -67,7 +67,6 @@ class WorkerState:
             self._engines[key] = BatchedHConvEngine(
                 mode=mode,
                 weight_config=config_from_wire(config_wire),
-                max_workers=None,
             )
         return self._engines[key]
 
@@ -82,17 +81,15 @@ class WorkerState:
             )
 
             if kind == "ntt":
-                backend = BatchedNttBackend(max_workers=None)
+                backend = BatchedNttBackend()
             elif kind == "flash":
                 backend = BatchedFftBackend(
-                    weight_config=config_from_wire(config_wire),
-                    max_workers=None,
+                    weight_config=config_from_wire(config_wire)
                 )
             elif kind == "sparse":
                 backend = SparseBatchedFftBackend(
                     weight_config=config_from_wire(config_wire),
                     pattern=pattern,
-                    max_workers=None,
                 )
             else:
                 raise ValueError(f"unknown backend kind {kind!r}")

@@ -66,15 +66,12 @@ class FlashConfig:
             twiddle_max_shift=self.twiddle_max_shift,
         )
 
-    def exact_backend(
-        self, max_workers: Optional[int] = None, cluster=None
-    ) -> BatchedNttBackend:
+    def exact_backend(self, cluster=None) -> BatchedNttBackend:
         """The exact NTT backend (baseline accelerators)."""
-        return BatchedNttBackend(max_workers=max_workers, cluster=cluster)
+        return BatchedNttBackend(cluster=cluster)
 
     def flash_backend(
         self,
-        max_workers: Optional[int] = None,
         cluster=None,
         plan_cache: Optional[PlanCache] = None,
     ) -> BatchedFftBackend:
@@ -84,14 +81,12 @@ class FlashConfig:
         """
         return BatchedFftBackend(
             weight_config=self.weight_fft_config(),
-            max_workers=max_workers,
             cluster=cluster,
             plan_cache=plan_cache,
         )
 
     def sparse_backend(
         self,
-        max_workers: Optional[int] = None,
         pattern: Optional[List[int]] = None,
         cluster=None,
         plan_cache: Optional[PlanCache] = None,
@@ -105,7 +100,6 @@ class FlashConfig:
         return SparseBatchedFftBackend(
             weight_config=self.weight_fft_config(),
             pattern=pattern,
-            max_workers=max_workers,
             cluster=cluster,
             plan_cache=plan_cache,
         )

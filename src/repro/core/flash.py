@@ -123,26 +123,20 @@ class Flash:
             return self._cluster_executors[cluster]
         return cluster
 
-    def _batched_backend(
-        self, kind: str, max_workers: Optional[int], cluster=None
-    ):
+    def _batched_backend(self, kind: str, cluster=None):
         """Backend instance, cached so plan/spectrum caches persist across
         layer calls (the whole point of the runtime's PlanCache)."""
         executor = self._cluster_executor(cluster)
-        key = (kind, max_workers, executor)
+        key = (kind, executor)
         if key not in self._batched_backends:
             if kind == "exact":
-                backend = self.config.exact_backend(
-                    max_workers, cluster=executor
-                )
+                backend = self.config.exact_backend(cluster=executor)
             else:
                 factory = (
                     self.config.sparse_backend if kind == "sparse"
                     else self.config.flash_backend
                 )
-                backend = factory(
-                    max_workers, cluster=executor, plan_cache=self._pipelines
-                )
+                backend = factory(cluster=executor, plan_cache=self._pipelines)
             self._batched_backends[key] = backend
         return self._batched_backends[key]
 
@@ -155,7 +149,6 @@ class Flash:
         exact: bool = False,
         batch: bool = False,
         sparse: bool = False,
-        max_workers: Optional[int] = None,
         cluster=None,
         transport=None,
         guard=None,
@@ -183,8 +176,6 @@ class Flash:
                 Works with or without ``batch``; incompatible with
                 ``exact``.  Realized-vs-model mult reduction lands in the
                 result stats.
-            max_workers: worker-pool width for the runtime backend
-                (``None`` keeps the deterministic serial fallback).
             cluster: shard the batched products across supervised worker
                 *processes* (:mod:`repro.cluster`): an ``int`` pool width
                 (the facade owns the pool; call :meth:`close` when done)
@@ -202,7 +193,7 @@ class Flash:
         kind = "exact" if exact else ("sparse" if sparse else "flash")
         protocol = HybridConvProtocol(
             self.config.params, shape,
-            self._batched_backend(kind, max_workers, cluster),
+            self._batched_backend(kind, cluster),
             transport=transport, guard=guard,
         )
         if batch:
@@ -223,7 +214,7 @@ class Flash:
         shape = LinearShape(in_features=w.shape[1], out_features=w.shape[0])
         protocol = HybridLinearProtocol(
             self.config.params, shape,
-            self._batched_backend("exact" if exact else "flash", None),
+            self._batched_backend("exact" if exact else "flash"),
             transport=transport, guard=guard,
         )
         return protocol.run(x, w, rng, session=self.session(rng))

@@ -9,8 +9,6 @@ inference *correct or loudly failed* when the world misbehaves.
   jitter, per-delivery timeouts and dead-letter records.
 * :mod:`repro.faults.guard` -- noise-budget watchdog degrading approximate
   FFT layers to the exact NTT path before they silently corrupt.
-* :mod:`repro.faults.inject` -- deterministic worker-fault injection for
-  the batched runtime's serial-retry recovery.
 * :mod:`repro.faults.chaos` -- randomized fault campaign behind
   ``python -m repro chaos``.
 """
@@ -29,11 +27,6 @@ from repro.faults.channel import (
 )
 from repro.faults.chaos import ChaosIteration, ChaosReport, run_campaign
 from repro.faults.guard import BudgetGuard, DegradationEvent
-from repro.faults.inject import (
-    FaultRecovery,
-    InjectedWorkerFault,
-    WorkerFaultInjector,
-)
 from repro.faults.session import ResilientSession, RetryPolicy
 from repro.he.noise import NoiseBudgetError
 
@@ -46,16 +39,13 @@ __all__ = [
     "DeadLetter",
     "DegradationEvent",
     "FaultProfile",
-    "FaultRecovery",
     "FaultyChannel",
-    "InjectedWorkerFault",
     "NoiseBudgetError",
     "PerfectChannel",
     "ResilientSession",
     "RetryPolicy",
     "TransportError",
     "TransportStats",
-    "WorkerFaultInjector",
     "decode_frame",
     "encode_frame",
     "run_campaign",

@@ -4,8 +4,7 @@ The concurrency rules (:mod:`repro.lint.rules_concurrency`) need two
 module-level facts that no single AST node carries:
 
 * **which callables run on worker threads** -- anything handed to
-  ``ThreadPoolExecutor.submit`` / ``.map``, the runtime's
-  :func:`repro.runtime.engine.fan_out`, or ``threading.Thread(target=...)``
+  ``ThreadPoolExecutor.submit`` / ``.map`` or ``threading.Thread(target=...)``
   is a *job function*; every ``self.<attr>`` write inside one executes
   concurrently with the submitting thread;
 * **which lock guards which attribute** -- learned from the code itself:
@@ -134,18 +133,7 @@ def _callable_names(call: ast.Call) -> List[str]:
     target = func.attr if isinstance(func, ast.Attribute) else (
         func.id if isinstance(func, ast.Name) else ""
     )
-    if target == "fan_out":
-        # fan_out(jobs, fn, max_workers, ...)
-        if len(call.args) >= 2:
-            n = name_of(call.args[1])
-            if n:
-                names.append(n)
-        for kw in call.keywords:
-            if kw.arg == "fn":
-                n = name_of(kw.value)
-                if n:
-                    names.append(n)
-    elif target in ("submit", "map"):
+    if target in ("submit", "map"):
         if call.args:
             n = name_of(call.args[0])
             if n:
@@ -164,8 +152,6 @@ def _is_entry_point(call: ast.Call) -> bool:
     target = func.attr if isinstance(func, ast.Attribute) else (
         func.id if isinstance(func, ast.Name) else ""
     )
-    if target == "fan_out":
-        return True
     if target == "Thread":
         return any(kw.arg == "target" for kw in call.keywords)
     if target in ("submit", "map"):

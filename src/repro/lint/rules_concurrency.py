@@ -1,10 +1,9 @@
 """Concurrency rules (RACE001, RACE002, LOCK001, DET001).
 
-The batched runtime fans work across thread pools and the fault layer
-retries it; both share mutable state (plan caches, stats counters,
-sessions).  These rules turn the repository's lock discipline -- learned
-from the code itself by :mod:`repro.lint.locks` -- into a checked
-contract:
+The serve acceptor threads and the cluster supervisor share mutable
+state (plan caches, stats counters, sessions) across threads.  These
+rules turn the repository's lock discipline -- learned from the code
+itself by :mod:`repro.lint.locks` -- into a checked contract:
 
 * RACE001 -- a shared attribute is mutated outside its inferred guard;
 * RACE002 -- a compound read-modify-write (``self.hits += 1``) runs
@@ -14,8 +13,8 @@ contract:
   sites, which serializes nothing;
 * DET001 -- nondeterminism inside parallel paths: unordered ``set``
   iteration (result order then depends on hash seeding) or wall-clock /
-  PRNG calls inside worker-thread jobs, which break the runtime's
-  bit-identical serial-fallback contract.
+  PRNG calls inside worker-thread jobs, which make results depend on
+  scheduling.
 
 Scoped to the packages that actually run concurrent code.  The dynamic
 counterpart (:mod:`repro.lint.sanitizer`) validates these findings
@@ -242,8 +241,8 @@ def _is_set_expr(node: ast.AST) -> bool:
 class ParallelNondeterminismRule(Rule):
     """DET001: nondeterminism feeding or inside parallel paths.
 
-    The runtime's contract (PR 2) is byte-identical output for every
-    worker count.  Iterating an unordered ``set`` makes job order depend
+    Results must be byte-identical however work is scheduled across
+    threads.  Iterating an unordered ``set`` makes job order depend
     on hash seeding, and wall-clock / PRNG reads inside a worker job make
     the result depend on scheduling.  Sort the iterable; draw randomness
     and timestamps in the submitting thread.

@@ -1,4 +1,4 @@
-"""Batched parallel HConv runtime: plan caching + vectorized batch passes.
+"""Batched HConv runtime: plan caching + vectorized batch passes.
 
 The execution layer between the protocol and the transform kernels:
 
@@ -8,8 +8,7 @@ The execution layer between the protocol and the transform kernels:
   the coefficient encoding (bit-identical to the per-call pipelines).
 * :class:`BatchedNttBackend` / :class:`BatchedFftBackend` -- the exact
   and approximate polynomial-multiplication backends of the encrypted
-  path: ``multiply_many`` batches the transforms and fans RNS limbs
-  across workers.
+  path: ``multiply_many`` batches the transforms (one pass per RNS limb).
 * :class:`SparseBatchedFftBackend` -- the FLASH sparse dataflow in the hot
   path: weight transforms run compiled per-pattern skipping/merging plans
   (:class:`repro.sparse.plan.SparsePlan`), bit-identical to the per-call
@@ -22,7 +21,6 @@ from repro.runtime.engine import (
     BatchedNttBackend,
     RuntimeStats,
     SparseBatchedFftBackend,
-    fan_out,
 )
 from repro.runtime.plan_cache import (
     PlanCache,
@@ -40,6 +38,5 @@ __all__ = [
     "SparseBatchedFftBackend",
     "approx_config_key",
     "estimate_nbytes",
-    "fan_out",
     "value_digest",
 ]

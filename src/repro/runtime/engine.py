@@ -13,16 +13,15 @@ vectorized numpy passes, amortizing:
 * **activation transforms** -- computed once per input tile and reused by
   all output channels.
 
-Independent RNS limbs and output-channel groups fan out across a
-``concurrent.futures`` thread pool (numpy releases the GIL inside the
-vectorized kernels); results are reassembled by index so ordering is
-deterministic and byte-identical to the serial fallback.
+Everything runs in the calling thread: the parallelism is inside the
+batched kernels (the NTT and FFT transforms are BLAS GEMMs and vectorized
+butterflies), and multi-core scale-out with crash recovery is the job of
+the supervised worker processes of :mod:`repro.cluster`.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -35,7 +34,6 @@ from repro.encoding.conv_encoding import (
     iter_row_bands,
     pad_input,
 )
-from repro.faults.inject import FaultRecovery
 from repro.fftcore.approx_pipeline import ApproxNegacyclic, ApproxSpectrum
 from repro.fftcore.fixed_point import ApproxFftConfig
 from repro.he.backend import PolyMulBackend
@@ -52,62 +50,6 @@ _INT64_LIMIT = float(1 << 63)
 #: every test/benchmark workload, but finite: an unbounded cache would grow
 #: without limit across a long-running inference service.
 DEFAULT_SPECTRUM_CACHE_BYTES = 64 << 20
-
-
-def fan_out(
-    jobs: Sequence,
-    fn: Callable,
-    max_workers: Optional[int],
-    recovery: Optional["FaultRecovery"] = None,
-) -> list:
-    """Run ``fn`` over ``jobs`` with deterministic result ordering.
-
-    Serial fallback when ``max_workers`` is ``None``/``0``/``1`` or there is
-    at most one job; otherwise a thread pool of ``max_workers`` threads.
-    Results are collected in submission order, so the output list is
-    identical to the serial path for pure ``fn``.
-
-    With a :class:`repro.faults.inject.FaultRecovery`, a job whose first
-    execution raises (a dying worker, a poisoned task) is retried once in
-    the submitting thread and the fault is recorded; the kernels are pure,
-    so the retried result is bit-identical.  A job that fails its retry
-    too propagates -- faults are survived, real bugs are not masked.
-    """
-    jobs = list(jobs)
-    if not jobs:
-        return []
-
-    def run_recovered(job):
-        try:
-            return fn(job)
-        except Exception as exc:
-            if recovery is None:
-                raise
-            recovery.record(exc)
-            return fn(job)
-
-    if not max_workers or max_workers <= 1 or len(jobs) == 1:
-        return [run_recovered(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = [pool.submit(fn, job) for job in jobs]
-        results = []
-        for job, future in zip(jobs, futures):
-            try:
-                results.append(future.result())
-            except Exception as exc:
-                if recovery is None:
-                    raise
-                recovery.record(exc)
-                results.append(fn(job))
-        return results
-
-
-def _split_groups(items: Sequence, groups: int) -> List[list]:
-    """Split ``items`` into at most ``groups`` contiguous non-empty chunks."""
-    items = list(items)
-    groups = max(1, min(groups, len(items)))
-    size = -(-len(items) // groups)
-    return [items[i : i + size] for i in range(0, len(items), size)]
 
 
 def batched_weight_spectra(
@@ -176,7 +118,6 @@ class RuntimeStats:
     batch: int = 0
     products: int = 0
     workers: int = 1
-    worker_faults: int = 0
     weight_transforms: int = 0
     weight_mults_realized: int = 0
     weight_mults_dense: int = 0
@@ -213,11 +154,6 @@ class RuntimeStats:
         lines = [
             f"mode={self.mode} batch={self.batch} "
             f"products={self.products} workers={self.workers}"
-            + (
-                f" worker_faults={self.worker_faults} (recovered serially)"
-                if self.worker_faults
-                else ""
-            )
         ]
         for stage, seconds in sorted(
             self.stage_seconds.items(), key=lambda kv: -kv[1]
@@ -300,11 +236,11 @@ class BatchedHConvEngine:
     computed in vectorized passes over the whole batch.
 
     Thread-safety contract (checked by ``repro lint --concurrency`` and
-    the runtime stress tests): the engine object is confined to the
-    submitting thread -- ``last_stats`` and the per-run ``RuntimeStats``
-    are only ever written between ``fan_out`` calls, and worker jobs
-    close over locals.  The only state shared *with* workers is
-    ``plan_cache``, which synchronizes internally.
+    the runtime stress tests): the engine object is confined to its
+    calling thread -- ``last_stats`` and the per-run ``RuntimeStats`` are
+    written by that thread only.  The only state that may be shared
+    across threads (the serve acceptor threads) is ``plan_cache``, which
+    synchronizes internally.
 
     Args:
         mode: ``"ntt"`` (exact), ``"fft"`` (float64 folded FFT),
@@ -319,12 +255,6 @@ class BatchedHConvEngine:
         plan_cache: shared :class:`PlanCache`; a fresh bounded cache with
             entry-integrity checking when omitted (a tampered cached
             spectrum is evicted and recomputed rather than served).
-        max_workers: thread-pool width for the pointwise/inverse stage;
-            ``None``/``0``/``1`` selects the serial fallback.
-        fault_injector: optional
-            :class:`repro.faults.inject.WorkerFaultInjector` poisoning
-            parallel jobs (chaos testing); recovered faults appear in
-            ``last_stats.worker_faults``.
         cluster: optional :class:`repro.cluster.ClusterExecutor`; batched
             calls shard across its supervised worker processes
             (bit-identical to the in-process path, crash recovery and
@@ -339,8 +269,6 @@ class BatchedHConvEngine:
         mode: str = "ntt",
         weight_config: Optional[ApproxFftConfig] = None,
         plan_cache: Optional[PlanCache] = None,
-        max_workers: Optional[int] = None,
-        fault_injector=None,
         cluster=None,
     ):
         if mode not in self.MODES:
@@ -357,14 +285,8 @@ class BatchedHConvEngine:
             plan_cache if plan_cache is not None
             else PlanCache(capacity_bytes=64 << 20, check_integrity=True)
         )
-        self.max_workers = max_workers
-        self.fault_injector = fault_injector
         self.cluster = cluster
         self.last_stats = RuntimeStats(mode=mode)
-
-    def _maybe_poison(self, tag) -> None:
-        if self.fault_injector is not None:
-            self.fault_injector.poison(tag)
 
     # -- plan / spectrum helpers ----------------------------------------
 
@@ -555,7 +477,7 @@ class BatchedHConvEngine:
             return self._conv2d_batch_cluster(
                 xs, w, shape, n, deadline_s=deadline_s
             )
-        stats = RuntimeStats(mode=self.mode, workers=self._workers())
+        stats = RuntimeStats(mode=self.mode)
         batch = xs.shape[0]
         stats.batch = batch
 
@@ -588,9 +510,6 @@ class BatchedHConvEngine:
         stats.cache = self.plan_cache.stats()
         self.last_stats = stats
         return total
-
-    def _workers(self) -> int:
-        return self.max_workers if self.max_workers and self.max_workers > 1 else 1
 
     def _conv2d_batch_cluster(
         self,
@@ -659,13 +578,7 @@ class BatchedHConvEngine:
             with _Timer(stats, "activation_transform"):
                 a_spec = plan.forward_batch(from_centered(a_stack, q))
 
-            def group_job(group: List[Tuple[int, int]]) -> np.ndarray:
-                a_idx = [
-                    item * tiles + tile
-                    for item in range(batch)
-                    for tile, _ in group
-                ]
-                w_rows = np.stack([w_specs[pair] for pair in group] * batch)
+            def pointwise_inverse(w_rows, a_idx):
                 spec = mulmod(a_spec[a_idx], w_rows, q)
                 return centered(plan.inverse_batch(spec), q)
 
@@ -697,39 +610,31 @@ class BatchedHConvEngine:
                     a_stack.astype(np.float64)
                 )
 
-            def group_job(group: List[Tuple[int, int]]) -> np.ndarray:
-                a_idx = [
-                    item * tiles + tile
-                    for item in range(batch)
-                    for tile, _ in group
-                ]
-                w_rows = np.stack([w_specs[pair] for pair in group] * batch)
+            def pointwise_inverse(w_rows, a_idx):
                 coeffs = pipe.multiply_spectra_batch(w_rows, a_spec[a_idx])
                 return _round_rows_exact(coeffs)
 
-        groups = _split_groups(pairs, self._workers())
-        recovery = FaultRecovery()
-
-        def indexed_job(group_index: int) -> np.ndarray:
-            self._maybe_poison(("group", group_index))
-            return group_job(groups[group_index])
-
         with _Timer(stats, "pointwise+inverse"):
-            group_rows = fan_out(
-                range(len(groups)), indexed_job, self.max_workers,
-                recovery=recovery,
+            # Item-major rows: row ``item * len(pairs) + k`` is pair k.  The
+            # activation rows are gathered inside ``pointwise_inverse`` so
+            # the gather is freed before the inverse transform allocates.
+            a_idx = [
+                item * tiles + tile
+                for item in range(batch)
+                for tile, _ in pairs
+            ]
+            rows = pointwise_inverse(
+                np.stack([w_specs[pair] for pair in pairs] * batch), a_idx
             )
-        stats.worker_faults += recovery.faults
         stats.products += len(pairs) * batch
 
         with _Timer(stats, "decode"):
             oh, ow = shape.out_height, shape.out_width
             for item in range(batch):
-                products: Dict[Tuple[int, int], np.ndarray] = {}
-                for group, rows in zip(groups, group_rows):
-                    base = item * len(group)
-                    for offset, pair in enumerate(group):
-                        products[pair] = rows[base + offset]
+                base = item * len(pairs)
+                products = {
+                    pair: rows[base + k] for k, pair in enumerate(pairs)
+                }
                 y = enc.decode_output(products)
                 r0 = row_start
                 r1 = min(r0 + y.shape[1], oh)
@@ -776,13 +681,11 @@ class BatchedNttBackend(PolyMulBackend):
     """Exact product via the per-prime negacyclic NTT (the baseline).
 
     ``multiply_many`` stacks every polynomial's residues per RNS limb and
-    runs one ``forward_batch`` / ``inverse_batch`` pass per limb, with limbs
-    fanned across the worker pool.  Each distinct weight polynomial's
-    per-prime spectra are computed once and cached as one
-    ``8 * n * limbs``-byte entry of the :class:`PlanCache` (integrity
-    checked by default: tampered spectra are evicted and recomputed).  A
-    worker that raises mid-limb is retried serially -- bit-identical
-    output, fault recorded in ``last_stats.worker_faults``.
+    runs one ``forward_batch`` / ``inverse_batch`` pass per limb.  Each
+    distinct weight polynomial's per-prime spectra are computed once and
+    cached as one ``8 * n * limbs``-byte entry of the :class:`PlanCache`
+    (integrity checked by default: tampered spectra are evicted and
+    recomputed).
 
     Figure 1's trade -- "pre-compute and store the weight polynomials in
     the NTT domain ... 23 GB for a 4-bit ResNet-50" -- is this backend
@@ -794,22 +697,14 @@ class BatchedNttBackend(PolyMulBackend):
     def __init__(
         self,
         plan_cache: Optional[PlanCache] = None,
-        max_workers: Optional[int] = None,
-        fault_injector=None,
         cluster=None,
     ):
         self.plan_cache = (
             plan_cache if plan_cache is not None
             else PlanCache(capacity_bytes=64 << 20, check_integrity=True)
         )
-        self.max_workers = max_workers
-        self.fault_injector = fault_injector
         self.cluster = cluster
         self.last_stats = RuntimeStats(mode="ntt")
-
-    def _maybe_poison(self, tag) -> None:
-        if self.fault_injector is not None:
-            self.fault_injector.poison(tag)
 
     def _weight_spectra(self, basis, weights: np.ndarray) -> np.ndarray:
         """``(limbs, n)`` NTT spectra of one weight polynomial (cached)."""
@@ -847,8 +742,6 @@ class BatchedNttBackend(PolyMulBackend):
             )
         basis = polys[0].basis
         count = len(polys)
-        # Weight spectra are built serially (deterministic cache order);
-        # limb jobs below only read the plain (limbs, count, n) stack.
         w_spectra = np.stack(
             [
                 self._weight_spectra(
@@ -859,25 +752,20 @@ class BatchedNttBackend(PolyMulBackend):
             axis=1,
         )
 
-        def limb_job(limb: int) -> np.ndarray:
-            self._maybe_poison(("limb", limb))
-            prime = basis.primes[limb]
+        # One call per limb: a limb's temporaries are freed before the next
+        # limb allocates its own.
+        def limb_product(limb: int, prime: int) -> np.ndarray:
             plan = get_ntt(basis.n, prime)
             rows = np.stack([p.residues[limb] for p in polys])
             spec = mulmod(plan.forward_batch(rows), w_spectra[limb], prime)
             return plan.inverse_batch(spec)
 
-        recovery = FaultRecovery()
-        limb_rows = fan_out(
-            range(len(basis.primes)), limb_job, self.max_workers,
-            recovery=recovery,
-        )
+        limb_rows = [
+            limb_product(limb, prime)
+            for limb, prime in enumerate(basis.primes)
+        ]
         self.last_stats = RuntimeStats(
-            mode="ntt",
-            batch=count,
-            products=count,
-            workers=self.max_workers or 1,
-            worker_faults=recovery.faults,
+            mode="ntt", batch=count, products=count
         )
         return [
             RingPoly(basis, [limb_rows[l][i] for l in range(len(basis.primes))])
@@ -927,8 +815,6 @@ class BatchedFftBackend(PolyMulBackend):
         weight_config: fixed-point configuration for the weight-transform
             butterflies; ``None`` runs the weight path in float64 (the
             "FFT (FP)" ablation arm).
-        max_workers: thread-pool width for the lift/reduce stages.
-        fault_injector: optional worker-fault injector (chaos testing).
         cluster: optional :class:`repro.cluster.ClusterExecutor`.
         spectrum_cache_bytes: LRU byte budget for cached weight spectra
             (``None`` disables the bound); the cache never exceeds it.
@@ -945,15 +831,11 @@ class BatchedFftBackend(PolyMulBackend):
     def __init__(
         self,
         weight_config: Optional[ApproxFftConfig] = None,
-        max_workers: Optional[int] = None,
-        fault_injector=None,
         cluster=None,
         spectrum_cache_bytes: Optional[int] = DEFAULT_SPECTRUM_CACHE_BYTES,
         plan_cache: Optional[PlanCache] = None,
     ):
         self.weight_config = weight_config
-        self.max_workers = max_workers
-        self.fault_injector = fault_injector
         self.cluster = cluster
         self._pipelines = (
             plan_cache if plan_cache is not None
@@ -963,10 +845,6 @@ class BatchedFftBackend(PolyMulBackend):
             capacity_bytes=spectrum_cache_bytes, check_integrity=True
         )
         self.last_stats = RuntimeStats(mode=self._stats_mode)
-
-    def _maybe_poison(self, tag) -> None:
-        if self.fault_injector is not None:
-            self.fault_injector.poison(tag)
 
     def pipeline(self, n: int) -> ApproxNegacyclic:
         cfg = self.weight_config
@@ -1038,37 +916,22 @@ class BatchedFftBackend(PolyMulBackend):
         pipe = self.pipeline(n)
         w_rows, mult_stats = self._weight_rows(n, weights_list)
 
-        def lift_job(index: int) -> np.ndarray:
-            self._maybe_poison(("lift", index))
-            # Centered lift loses only bits beyond float64's 53-bit
-            # mantissa -- exactly the LSB error the approximate scheme is
-            # designed to absorb.  Both int64 and Python ints round to
-            # nearest-even on the way to float64.
-            lift = basis.centered_int64 if basis.exact_int64 else basis.centered
-            return lift(polys[index].residues).astype(np.float64)
-
-        recovery = FaultRecovery()
-        lifts = fan_out(
-            range(len(polys)), lift_job, self.max_workers, recovery=recovery
-        )
+        # Centered lift loses only bits beyond float64's 53-bit mantissa --
+        # exactly the LSB error the approximate scheme is designed to
+        # absorb.  Both int64 and Python ints round to nearest-even on the
+        # way to float64.
+        lift = basis.centered_int64 if basis.exact_int64 else basis.centered
+        lifts = [lift(p.residues).astype(np.float64) for p in polys]
         a_spec = pipe.activation_forward_batch(np.stack(lifts))
         products = pipe.multiply_spectra_batch(w_rows, a_spec)
-
-        def reduce_job(index: int) -> RingPoly:
-            self._maybe_poison(("reduce", index))
-            residues = _reduce_float_row(products[index], basis.primes)
-            return RingPoly(basis, residues)
-
-        out = fan_out(
-            range(len(products)), reduce_job, self.max_workers,
-            recovery=recovery,
-        )
+        out = [
+            RingPoly(basis, _reduce_float_row(row, basis.primes))
+            for row in products
+        ]
         self.last_stats = RuntimeStats(
             mode=self._stats_mode,
             batch=len(polys),
             products=len(polys),
-            workers=self.max_workers or 1,
-            worker_faults=recovery.faults,
             **mult_stats,
         )
         return out
@@ -1098,16 +961,9 @@ class SparseBatchedFftBackend(BatchedFftBackend):
         self,
         weight_config: Optional[ApproxFftConfig] = None,
         pattern: Optional[Sequence[int]] = None,
-        max_workers: Optional[int] = None,
-        fault_injector=None,
         **kwargs,
     ):
-        super().__init__(
-            weight_config=weight_config,
-            max_workers=max_workers,
-            fault_injector=fault_injector,
-            **kwargs,
-        )
+        super().__init__(weight_config=weight_config, **kwargs)
         if self.weight_config is None:
             raise ValueError("SparseBatchedFftBackend needs a weight_config")
         self.pattern = (

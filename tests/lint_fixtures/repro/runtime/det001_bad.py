@@ -1,14 +1,13 @@
-"""Fixture: DET001 -- nondeterminism feeding the parallel runtime."""
+"""Fixture: DET001 -- nondeterminism feeding a thread pool."""
 
 import random
 import time
-
-from repro.runtime.parallel import fan_out
+from concurrent.futures import ThreadPoolExecutor
 
 
 def schedule(batches):
     # BAD: set iteration order is arbitrary, so the job list (and with it
-    # the fan_out result order) varies run to run.
+    # the result order) varies run to run.
     jobs = [(idx, b) for idx, b in enumerate({id(b) for b in batches})]
 
     def job(pair):
@@ -18,4 +17,5 @@ def schedule(batches):
         jitter = random.random()
         return pair[0], started, jitter
 
-    return fan_out(jobs, job, max_workers=4)
+    pool = ThreadPoolExecutor()
+    return [pool.submit(job, pair).result() for pair in jobs]

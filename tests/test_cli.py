@@ -83,7 +83,7 @@ class TestExitCodeConvention:
 
         cases = [
             ["bench-runtime", "--batch", "0"],
-            ["bench-runtime", "--workers", "-1"],
+            ["bench-runtime", "--cluster-workers", "-1"],
             ["serve", "--duration", "0"],
             ["serve", "--duration", "1", "--cluster-workers", "-1"],
             ["loadgen", "--clients", "0"],

@@ -13,7 +13,9 @@ class TestChaosCampaign:
         # The campaign actually exercised the fault paths.
         assert sum(it.injected_channel_faults for it in report.iterations) > 0
         assert sum(it.guard_events for it in report.iterations) > 0
-        assert sum(it.worker_faults_injected for it in report.iterations) > 0
+        assert sum(
+            it.cache_corruptions_detected for it in report.iterations
+        ) > 0
 
     def test_campaign_is_deterministic(self):
         a = run_campaign(seed=3, iterations=3)

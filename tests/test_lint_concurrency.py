@@ -80,17 +80,16 @@ class Cache:
         assert len(bad) == 1
         assert not bad[0].locks_held and not bad[0].in_init
 
-    def test_job_discovery_fan_out_and_submit(self):
+    def test_job_discovery_submit(self):
         src = """
 from concurrent.futures import ThreadPoolExecutor
-from repro.runtime import fan_out
 
 def run(jobs, pool):
     def job(item):
         return item * 2
     def other(item):
         return item
-    fan_out(jobs, job, 4)
+    ThreadPoolExecutor().submit(job, jobs)
     pool.submit(other, 1)
     return map(str, jobs)  # builtin map is not an entry point
 """
@@ -104,7 +103,7 @@ def run(jobs, pool):
     def test_lock_context_does_not_enter_closures(self):
         src = """
 import threading
-from repro.runtime import fan_out
+from concurrent.futures import ThreadPoolExecutor
 
 class Engine:
     def __init__(self):
@@ -116,7 +115,7 @@ class Engine:
             def job(item):
                 self.done = item
                 return item
-            return fan_out(items, job, 2)
+            return ThreadPoolExecutor().submit(job, items)
 """
         model = build_module_model(ast.parse(src))
         writes = [

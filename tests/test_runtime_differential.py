@@ -194,10 +194,10 @@ class TestEncryptedDifferential:
         rng = np.random.default_rng(7)
         w = rng.integers(-3, 4, size=(3, 2, 3, 3))
         xs = rng.integers(-7, 8, size=(3, 2, 6, 6))
-        # The default (exact) backend against a pooled one.
+        # The default (exact) backend against an explicit batched one.
         plain = HybridConvProtocol(params, shape, backend=None)
         batched = HybridConvProtocol(
-            params, shape, backend=BatchedNttBackend(max_workers=2)
+            params, shape, backend=BatchedNttBackend()
         )
         r_plain = plain.run_batch(xs, w, np.random.default_rng(42))
         r_batch = batched.run_batch(xs, w, np.random.default_rng(42))
@@ -226,7 +226,7 @@ class TestEncryptedRoundTripSlow:
         params = toy_preset(n=256, share_bits=17)
         xs, w = self._data()
         protocol = HybridConvProtocol(
-            params, self.SHAPE, backend=BatchedNttBackend(max_workers=2)
+            params, self.SHAPE, backend=BatchedNttBackend()
         )
         session = make_session(params, np.random.default_rng(9))
         results = protocol.run_batch(

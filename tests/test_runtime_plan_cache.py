@@ -4,7 +4,9 @@ backend caches that route through it.
 Hypothesis drives randomized get/put sequences against a reference model:
 hit/miss counters must match exact bookkeeping, the byte-accounted LRU
 must never exceed its capacity, and cached plans must be the same objects
-(and produce identical transforms) as freshly built ones.
+(and produce identical transforms) as freshly built ones.  With integrity
+checking on, an entry tampered in place is evicted and rebuilt, never
+served.
 """
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.he.params import toy_preset
 from repro.he.poly import RingPoly
 from repro.ntt import RnsBasis, get_ntt
 from repro.runtime import (
@@ -20,7 +23,10 @@ from repro.runtime import (
     PlanCache,
     approx_config_key,
     estimate_nbytes,
+    value_digest,
 )
+
+BASIS = toy_preset(n=64).basis
 
 # An operation is (key, nbytes): puts insert a payload of that size,
 # gets look the key up.
@@ -199,3 +205,82 @@ class TestBoundedBackendCaches:
         assert cache.hits == 1
         for a, b in zip(first.residues, second.residues):
             assert np.array_equal(a, b)
+
+
+def _random_products(seed, count=6):
+    rng = np.random.default_rng(seed)
+    polys, weights = [], []
+    for _ in range(count):
+        coeffs = rng.integers(0, 1 << 29, size=BASIS.n)
+        polys.append(RingPoly(BASIS, BASIS.to_rns(coeffs)))
+        weights.append(rng.integers(-5, 6, size=BASIS.n))
+    return polys, weights
+
+
+def _identical(outs, refs):
+    return all(
+        np.array_equal(a, b)
+        for out, ref in zip(outs, refs)
+        for a, b in zip(out.residues, ref.residues)
+    )
+
+
+class TestPlanCacheIntegrity:
+    def test_digest_covers_arrays_and_containers(self):
+        a = np.arange(8, dtype=np.int64)
+        assert value_digest(a) == value_digest(a.copy())
+        assert value_digest(a) != value_digest(a + 1)
+        assert value_digest([a, 2.5]) != value_digest([a, 3.5])
+        assert value_digest(object()) is None  # opaque: skipped
+
+    def test_tampered_entry_evicted_and_rebuilt(self):
+        cache = PlanCache(check_integrity=True)
+        builds = []
+
+        def build():
+            builds.append(1)
+            return np.arange(16, dtype=np.int64)
+
+        first = cache.get_or_build("spec", build)
+        first[3] = 999  # bit-rot / tamper in place
+        again = cache.get_or_build("spec", build)
+        assert cache.corruptions == 1
+        assert len(builds) == 2
+        assert again[3] == 3  # the rebuilt, clean value
+
+    def test_tampered_entry_raises_keyerror_on_getitem(self):
+        cache = PlanCache(check_integrity=True)
+        value = np.ones(4)
+        cache.put("k", value)
+        value[0] = -1.0
+        with pytest.raises(KeyError):
+            cache["k"]
+        assert "k" not in cache
+
+    def test_get_returns_default_for_corrupt_entry(self):
+        cache = PlanCache(check_integrity=True)
+        value = np.ones(4)
+        cache.put("k", value)
+        value[0] = 7.0
+        assert cache.get("k", "fallback") == "fallback"
+        assert cache.stats()["corruptions"] == 1
+
+    def test_integrity_off_by_default(self):
+        cache = PlanCache()
+        value = np.ones(4)
+        cache.put("k", value)
+        value[0] = 9.0
+        assert cache.get("k") is value  # legacy behaviour preserved
+
+    def test_backend_recomputes_tampered_spectrum_bit_identical(self):
+        polys, weights = _random_products(4)
+        backend = BatchedNttBackend()
+        reference = backend.multiply_many(polys, weights)
+        # Corrupt every cached weight spectrum in place.
+        for key in backend.plan_cache.keys():
+            entry = backend.plan_cache._entries[key][0]
+            if isinstance(entry, np.ndarray):
+                entry += 1
+        outs = backend.multiply_many(polys, weights)
+        assert backend.plan_cache.corruptions > 0
+        assert _identical(outs, reference)
