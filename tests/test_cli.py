@@ -98,6 +98,13 @@ class TestExitCodeConvention:
             assert main(argv) == EXIT_USAGE, argv
             assert capsys.readouterr().err  # reason lands on stderr
 
+    @pytest.mark.parametrize("command", ["bench-runtime", "chaos"])
+    def test_in_process_workers_flag_is_gone(self, command):
+        """The runtime runs in the calling thread; only the cluster
+        options size a worker pool."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--workers", "2"])
+
     def test_lint_select_conflicts_with_concurrency(self):
         from repro.cli import EXIT_USAGE
 

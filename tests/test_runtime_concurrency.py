@@ -3,15 +3,28 @@
 Several caller threads (the serve acceptor's case) may share one backend
 and its :class:`repro.runtime.PlanCache`; concurrent ``multiply_many``
 calls must stay byte-identical to a single-threaded call, and the cache's
-shared state must be race-free under the dynamic sanitizer.
+shared state must be race-free under the dynamic sanitizer.  Engines are
+confined to their calling thread, but one engine per thread may share a
+``PlanCache`` and must still match a lone engine byte for byte.
 """
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from repro.encoding.conv_encoding import ConvShape
+from repro.fftcore.fixed_point import ApproxFftConfig
 from repro.he.poly import RingPoly
 from repro.ntt import RnsBasis
-from repro.runtime import BatchedNttBackend
+from repro.runtime import (
+    BatchedFftBackend,
+    BatchedHConvEngine,
+    BatchedNttBackend,
+    PlanCache,
+)
+
+CALLER_THREADS = [1, 2, 8]
 
 
 class TestBackendConcurrency:
@@ -40,13 +53,34 @@ class TestBackendConcurrency:
             for a, b in zip(out.residues, ref.residues):
                 assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("threads", CALLER_THREADS)
+    def test_fft_backend_caller_threads_byte_identical(
+        self, basis, workload, threads
+    ):
+        """Callers racing on a cold weight-spectrum cache all get the
+        single-threaded result."""
+        polys, weights = workload
+        cfg = ApproxFftConfig(
+            n=basis.n // 2, stage_widths=27, twiddle_k=18,
+            twiddle_max_shift=24,
+        )
+        ref = BatchedFftBackend(weight_config=cfg).multiply_many(
+            polys, weights
+        )
+        backend = BatchedFftBackend(weight_config=cfg)
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            futures = [
+                pool.submit(backend.multiply_many, polys, weights)
+                for _ in range(threads)
+            ]
+            for future in futures:
+                for out, expect in zip(future.result(), ref):
+                    for a, b in zip(out.residues, expect.residues):
+                        assert np.array_equal(a, b), threads
+
     def test_shared_plan_cache_thread_safety(self, basis, workload):
         """One PlanCache shared by concurrent multiply_many calls keeps
         deterministic results (first-insert-wins builds)."""
-        from concurrent.futures import ThreadPoolExecutor
-
-        from repro.runtime import PlanCache
-
         polys, weights = workload
         cache = PlanCache(capacity_bytes=8 << 20)
         backend = BatchedNttBackend(plan_cache=cache)
@@ -68,10 +102,7 @@ class TestBackendConcurrency:
     ):
         """The dynamic race sanitizer observes the same stress and finds
         no happens-before violation on the cache's shared state."""
-        from concurrent.futures import ThreadPoolExecutor
-
         from repro.lint import instrument
-        from repro.runtime import PlanCache
 
         polys, weights = workload
         cache = PlanCache(capacity_bytes=8 << 20)
@@ -92,3 +123,37 @@ class TestBackendConcurrency:
         san.join_all()
         assert cache.hits > 0
         assert san.races == [], san.describe()
+
+
+class TestEngineSharedPlanCache:
+    SHAPE = ConvShape(
+        in_channels=3, height=7, width=7, out_channels=5,
+        kernel_h=3, kernel_w=3, stride=1, padding=1,
+    )
+    CFG = ApproxFftConfig(
+        n=64, stage_widths=27, twiddle_k=18, twiddle_max_shift=24
+    )
+
+    @pytest.mark.parametrize("mode", ["ntt", "flash", "sparse"])
+    def test_per_thread_engines_share_cache_byte_identical(self, mode):
+        """The serve acceptor's layout: one engine per caller thread over
+        one shared cache matches an engine with a private cache."""
+        rng = np.random.default_rng(0)
+        xs = rng.integers(-7, 8, size=(6, 3, 7, 7))
+        w = rng.integers(-4, 5, size=(5, 3, 3, 3))
+        ref = BatchedHConvEngine(
+            mode=mode, weight_config=self.CFG
+        ).conv2d_batch(xs, w, self.SHAPE, 128)
+        cache = PlanCache(capacity_bytes=8 << 20)
+
+        def run(_):
+            engine = BatchedHConvEngine(
+                mode=mode, weight_config=self.CFG, plan_cache=cache
+            )
+            return engine.conv2d_batch(xs, w, self.SHAPE, 128)
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            outs = list(pool.map(run, range(4)))
+        for out in outs:
+            assert np.array_equal(out, ref), mode
+        assert cache.hits > 0

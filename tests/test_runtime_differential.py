@@ -9,14 +9,18 @@ Every batched path must agree with the per-call reference it replaces:
   convolution stays within the :mod:`repro.he.noise` error budget;
 * the encrypted ``multiply_many`` backends match one-polynomial
   references word for word: the exact ``RingPoly`` product, and the
-  per-call :class:`ApproxNegacyclic` pipeline with Python-int rounding.
+  per-call :class:`ApproxNegacyclic` pipeline with Python-int rounding;
+* a call's result never depends on how its work was grouped: one
+  ``multiply_many`` over a list equals the concatenated calls over any
+  chunking of it, a banded ``conv2d_batch`` equals the per-item calls,
+  and the weight-mult accounting is the same on a cold and a warm cache.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.hconv import hconv_fft, hconv_flash, hconv_ntt
-from repro.encoding.conv_encoding import ConvShape
+from repro.encoding.conv_encoding import ConvShape, iter_row_bands
 from repro.encoding.plain_eval import conv2d_direct, conv2d_via_polynomials
 from repro.fftcore.approx_pipeline import ApproxNegacyclic
 from repro.fftcore.fixed_point import ApproxFftConfig
@@ -29,6 +33,7 @@ from repro.runtime import (
     BatchedFftBackend,
     BatchedHConvEngine,
     BatchedNttBackend,
+    SparseBatchedFftBackend,
 )
 
 N = 128
@@ -204,6 +209,131 @@ class TestEncryptedDifferential:
         for a, b in zip(r_plain, r_batch):
             assert np.array_equal(a.reconstructed, b.reconstructed)
             assert a.exact and b.exact
+
+
+def make_backend(kind: str, basis: RnsBasis):
+    cfg = ApproxFftConfig(
+        n=basis.n // 2, stage_widths=27, twiddle_k=18, twiddle_max_shift=24
+    )
+    if kind == "ntt":
+        return BatchedNttBackend()
+    if kind == "fft":
+        return BatchedFftBackend(weight_config=cfg)
+    return SparseBatchedFftBackend(weight_config=cfg)
+
+
+#: Banded geometry: a 16x11 padded plane exceeds n=64, so every pass runs
+#: several row bands into one accumulator; the stride-2 case adds phases.
+BAND_N = 64
+BAND_CFG = ApproxFftConfig(
+    n=BAND_N // 2, stage_widths=27, twiddle_k=18, twiddle_max_shift=24
+)
+BAND_SHAPES = [
+    ConvShape(
+        in_channels=3, height=14, width=9, out_channels=4,
+        kernel_h=3, kernel_w=3, stride=1, padding=1,
+    ),
+    ConvShape(
+        in_channels=2, height=13, width=10, out_channels=3,
+        kernel_h=3, kernel_w=3, stride=2, padding=1,
+    ),
+]
+
+
+class TestBatchComposition:
+    @pytest.fixture(scope="class")
+    def basis(self):
+        return RnsBasis.generate(64, [30, 30, 31, 32])
+
+    @pytest.fixture(scope="class")
+    def workload(self, basis):
+        # 7 products over 3 distinct sparse weights: repeats share one
+        # cached spectrum within a call and across chunked calls.
+        rng = np.random.default_rng(31)
+        distinct = []
+        for k in (5, 9, 13):
+            w = np.zeros(basis.n, dtype=np.int64)
+            support = rng.choice(basis.n, size=k, replace=False)
+            w[support] = rng.integers(-5, 6, size=k)
+            distinct.append(w)
+        polys = [
+            RingPoly(basis, basis.to_rns(rng.integers(0, 1 << 20, basis.n)))
+            for _ in range(7)
+        ]
+        weights = [distinct[i % 3] for i in range(7)]
+        return polys, weights
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["ntt", "fft", "sparse"])
+    def test_multiply_many_independent_of_chunking(
+        self, basis, workload, kind, chunk
+    ):
+        polys, weights = workload
+        whole = make_backend(kind, basis).multiply_many(polys, weights)
+        chunked_backend = make_backend(kind, basis)
+        chunked = []
+        for start in range(0, len(polys), chunk):
+            chunked.extend(
+                chunked_backend.multiply_many(
+                    polys[start : start + chunk],
+                    weights[start : start + chunk],
+                )
+            )
+        assert len(chunked) == len(whole)
+        for got, expect in zip(chunked, whole):
+            for a, b in zip(got.residues, expect.residues):
+                assert np.array_equal(a, b), (kind, chunk)
+
+    @pytest.mark.parametrize("mode", ["ntt", "fft", "flash", "sparse"])
+    def test_banded_batch_equals_per_item_calls(self, mode):
+        engine = BatchedHConvEngine(mode=mode, weight_config=BAND_CFG)
+        rng = np.random.default_rng(41)
+        for shape in BAND_SHAPES:
+            padded = ConvShape(
+                in_channels=shape.in_channels,
+                height=shape.padded_height,
+                width=shape.padded_width,
+                out_channels=shape.out_channels,
+                kernel_h=shape.kernel_h,
+                kernel_w=shape.kernel_w,
+            )
+            if shape.stride == 1:
+                assert len(iter_row_bands(padded, BAND_N)) > 1
+            xs = random_batch(rng, shape, 3)
+            w = random_kernel(rng, shape)
+            got = engine.conv2d_batch(xs, w, shape, BAND_N)
+            batch_products = engine.last_stats.products
+            singles, single_products = [], 0
+            for x in xs:
+                singles.append(engine.conv2d_batch(x[None], w, shape, BAND_N))
+                single_products += engine.last_stats.products
+            assert np.array_equal(got, np.concatenate(singles)), shape
+            assert batch_products == single_products, shape
+
+    @pytest.mark.parametrize("mode", ["flash", "sparse"])
+    def test_weight_mult_stats_independent_of_cache_warmth(self, mode):
+        """Mult accounting is charged per requested transform, never per
+        cache state: a warm rerun reports what the cold run did."""
+        shape = BAND_SHAPES[0]
+        rng = np.random.default_rng(43)
+        xs = random_batch(rng, shape, 2)
+        w = random_kernel(rng, shape)
+        engine = BatchedHConvEngine(mode=mode, weight_config=BAND_CFG)
+        counts = []
+        for _ in range(2):
+            engine.conv2d_batch(xs, w, shape, BAND_N)
+            st = engine.last_stats
+            counts.append(
+                (
+                    st.weight_transforms,
+                    st.weight_mults_realized,
+                    st.weight_mults_dense,
+                    st.weight_mults_model,
+                )
+            )
+        assert engine.plan_cache.hits > 0
+        assert counts[0] == counts[1]
+        assert counts[0][1] > 0
 
 
 @pytest.mark.slow

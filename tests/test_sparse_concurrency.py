@@ -49,6 +49,27 @@ class TestSparseBackendConcurrency:
             weights.append(w)
         return polys, weights
 
+    @pytest.mark.parametrize("threads", [1, 2, 8])
+    def test_caller_threads_byte_identical(
+        self, basis, cfg, workload, threads
+    ):
+        """Callers racing on a cold sparse-plan cache all get the
+        single-threaded result."""
+        polys, weights = workload
+        ref = SparseBatchedFftBackend(weight_config=cfg).multiply_many(
+            polys, weights
+        )
+        backend = SparseBatchedFftBackend(weight_config=cfg)
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            futures = [
+                pool.submit(backend.multiply_many, polys, weights)
+                for _ in range(threads)
+            ]
+            for future in futures:
+                for out, expect in zip(future.result(), ref):
+                    for a, b in zip(out.residues, expect.residues):
+                        assert np.array_equal(a, b), threads
+
     def test_concurrent_calls_share_plan_cache(self, basis, cfg, workload):
         """Concurrent multiply_many calls against one backend keep
         deterministic results (first-insert-wins plan builds)."""
