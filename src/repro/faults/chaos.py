@@ -13,8 +13,10 @@ fires three probes at the stack (four with ``--cluster``):
   approximation (observed exhaustion); must finish bit-exact.
 * **sparse** -- the compiled-sparse-plan path
   (:class:`repro.runtime.SparseBatchedFftBackend`) under in-place
-  corruption of cached plans/spectra; the integrity-checked caches must
-  detect, evict and recompute, and the output must stay byte-identical.
+  corruption of its cached weight spectra; the integrity-checked
+  spectrum cache must detect, evict and recompute, and the output must
+  stay byte-identical.  (Tampering with cached compiled plans is covered
+  by ``tests/test_sparse_plan.py``.)
 * **cluster** (``--cluster``) -- a batched convolution sharded across
   supervised worker *processes* (:mod:`repro.cluster`) while random
   workers are SIGKILLed and hung mid-run; the reassembled output must be
@@ -310,10 +312,12 @@ def _tamper_backend_caches(backend) -> int:
 def _probe_sparse(it: ChaosIteration, n: int, seed: int) -> None:
     """Sparse-plan path under cache corruption.
 
-    The compiled-plan and spectrum caches of a
-    :class:`repro.runtime.SparseBatchedFftBackend` are corrupted in place
+    The weight-spectrum cache of a
+    :class:`repro.runtime.SparseBatchedFftBackend` is corrupted in place
     between two runs; the integrity digests must evict the damage and the
     second run must stay byte-identical to the fault-free reference.
+    Tampering with cached compiled plans is covered by
+    ``tests/test_sparse_plan.py``.
     """
     import numpy as np
 

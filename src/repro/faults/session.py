@@ -71,8 +71,8 @@ class RetryPolicy:
 class ResilientSession:
     """Reliable request pipe over an unreliable channel.
 
-    A session may be shared across worker threads (the batched runtime
-    fans ciphertext transfers out): sequence numbers are allocated and
+    A session is used from one thread in the shipped code but stays safe
+    to share across threads: sequence numbers are allocated and
     statistics folded in under ``_lock``, and each in-flight transfer
     tallies its counters locally so the lock is never held across a
     channel round-trip.

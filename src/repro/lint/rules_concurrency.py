@@ -1,8 +1,9 @@
 """Concurrency rules (RACE001, RACE002, LOCK001, DET001).
 
-The serve acceptor threads and the cluster supervisor share mutable
-state (plan caches, stats counters, sessions) across threads.  These
-rules turn the repository's lock discipline -- learned from the code
+Serve's acceptor threads and its coalescer thread share mutable state
+(stats counters, admission and breaker state), and ``PlanCache`` and
+``ResilientSession`` keep their locks so that a caller sharing one
+across threads stays correct.  These rules turn the repository's lock discipline -- learned from the code
 itself by :mod:`repro.lint.locks` -- into a checked contract:
 
 * RACE001 -- a shared attribute is mutated outside its inferred guard;

@@ -238,9 +238,10 @@ class BatchedHConvEngine:
     Thread-safety contract (checked by ``repro lint --concurrency`` and
     the runtime stress tests): the engine object is confined to its
     calling thread -- ``last_stats`` and the per-run ``RuntimeStats`` are
-    written by that thread only.  The only state that may be shared
-    across threads (the serve acceptor threads) is ``plan_cache``, which
-    synchronizes internally.
+    written by that thread only.  In the shipped code ``plan_cache`` is
+    confined to one thread too (serve's coalescer thread owns all
+    execution); it still synchronizes internally, so a caller that shares
+    one across threads stays correct.
 
     Args:
         mode: ``"ntt"`` (exact), ``"fft"`` (float64 folded FFT),

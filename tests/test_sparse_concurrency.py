@@ -1,9 +1,11 @@
 """Concurrency tier for the batched sparse runtime.
 
-Caller threads sharing one :class:`SparseBatchedFftBackend` (the serve
-acceptor's case) get byte-identical results from its sparse-plan
-:class:`PlanCache`, and the cache survives an 8-thread stress run under
-the dynamic race sanitizer with no happens-before violation.
+The shipped code confines every runtime object to one thread (serve's
+coalescer owns execution), but the sparse-plan :class:`PlanCache` keeps
+its lock so a shared :class:`SparseBatchedFftBackend` stays correct.
+These tests exercise that lock: concurrent callers get byte-identical
+results, and the cache survives an 8-thread stress run under the dynamic
+race sanitizer with no happens-before violation.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -49,17 +51,21 @@ class TestSparseBackendConcurrency:
             weights.append(w)
         return polys, weights
 
-    @pytest.mark.parametrize("threads", [1, 2, 8])
-    def test_caller_threads_byte_identical(
-        self, basis, cfg, workload, threads
+    @pytest.mark.parametrize("threads", [2, 8])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_concurrent_calls_share_plan_cache(
+        self, basis, cfg, workload, warm, threads
     ):
-        """Callers racing on a cold sparse-plan cache all get the
-        single-threaded result."""
+        """Concurrent multiply_many calls against one backend, over a cold
+        or a warm plan cache, keep the single-threaded result
+        (first-insert-wins plan builds)."""
         polys, weights = workload
         ref = SparseBatchedFftBackend(weight_config=cfg).multiply_many(
             polys, weights
         )
         backend = SparseBatchedFftBackend(weight_config=cfg)
+        if warm:
+            backend.multiply_many(polys, weights)
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [
                 pool.submit(backend.multiply_many, polys, weights)
@@ -68,24 +74,9 @@ class TestSparseBackendConcurrency:
             for future in futures:
                 for out, expect in zip(future.result(), ref):
                     for a, b in zip(out.residues, expect.residues):
-                        assert np.array_equal(a, b), threads
-
-    def test_concurrent_calls_share_plan_cache(self, basis, cfg, workload):
-        """Concurrent multiply_many calls against one backend keep
-        deterministic results (first-insert-wins plan builds)."""
-        polys, weights = workload
-        backend = SparseBatchedFftBackend(weight_config=cfg)
-        ref = backend.multiply_many(polys, weights)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [
-                pool.submit(backend.multiply_many, polys, weights)
-                for _ in range(4)
-            ]
-            for future in futures:
-                for out, expect in zip(future.result(), ref):
-                    for a, b in zip(out.residues, expect.residues):
                         assert np.array_equal(a, b)
-        assert backend.plan_cache.hits > 0
+        if warm:
+            assert backend.plan_cache.hits > 0
 
     @pytest.mark.slow
     def test_sparse_plan_cache_race_free_under_sanitizer(
