@@ -238,6 +238,24 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Timed repeats per ``bench-runtime`` arm; each arm reports its fastest.
+#: One ~1 ms call is too short to time once: scheduler noise alone moved
+#: the NTT speedup across its ``bench-check`` floor.
+BENCH_RUNTIME_REPS = 5
+
+
+def _min_time(fn):
+    """``(best wall seconds over BENCH_RUNTIME_REPS calls, last result)``."""
+    import time
+
+    best = float("inf")
+    for _ in range(BENCH_RUNTIME_REPS):
+        t0 = time.perf_counter()
+        out = fn()
+        best = min(best, time.perf_counter() - t0)
+    return best, out
+
+
 def _cmd_bench_runtime(args: argparse.Namespace) -> int:
     import time
 
@@ -313,9 +331,9 @@ def _cmd_bench_runtime(args: argparse.Namespace) -> int:
             cluster=executor,
         )
         engine.conv2d_batch(xs[:1], w, shape, args.n)  # warm the plan cache
-        t0 = time.perf_counter()
-        batched = engine.conv2d_batch(xs, w, shape, args.n)
-        batched_s = time.perf_counter() - t0
+        batched_s, batched = _min_time(
+            lambda: engine.conv2d_batch(xs, w, shape, args.n)
+        )
 
         if mode == "ntt":
             per_call = hconv_ntt
@@ -323,11 +341,9 @@ def _cmd_bench_runtime(args: argparse.Namespace) -> int:
             per_call = lambda x, w_, s_, n_: hconv_sparse(x, w_, s_, n_, cfg)
         else:
             per_call = lambda x, w_, s_, n_: hconv_flash(x, w_, s_, n_, cfg)
-        t0 = time.perf_counter()
-        serial = np.stack(
-            [per_call(x, w, shape, args.n) for x in xs]
+        serial_s, serial = _min_time(
+            lambda: np.stack([per_call(x, w, shape, args.n) for x in xs])
         )
-        serial_s = time.perf_counter() - t0
 
         print(f"\n=== mode={mode} ===")
         print(engine.last_stats.describe())

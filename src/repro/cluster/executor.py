@@ -177,7 +177,6 @@ class ClusterExecutor:
         self,
         backend: str,
         weight_config,
-        pattern,
         polys: List,
         weights_list: List[np.ndarray],
         deadline_s: Optional[float] = None,
@@ -199,7 +198,7 @@ class ClusterExecutor:
         basis = polys[0].basis
         blobs = [serialize_poly(p) for p in polys]
         out_blobs = self.multiply_many_blobs(
-            backend, weight_config, pattern, basis, blobs, weights_list,
+            backend, weight_config, basis, blobs, weights_list,
             deadline_s=deadline_s,
         )
         params = WireBasisParams(basis)
@@ -213,7 +212,6 @@ class ClusterExecutor:
         self,
         backend: str,
         weight_config,
-        pattern,
         basis,
         blobs: List[bytes],
         weights_list: List[np.ndarray],
@@ -233,7 +231,7 @@ class ClusterExecutor:
         payloads = self._stamp_deadline(
             [
                 mul_job_payload(
-                    backend, weight_config, pattern, basis,
+                    backend, weight_config, basis,
                     blobs[lo:hi], weights_list[lo:hi],
                 )
                 for lo, hi in _split_indices(len(blobs), self.policy.workers)

@@ -70,9 +70,8 @@ class WorkerState:
             )
         return self._engines[key]
 
-    def backend(self, kind: str, config_wire, pattern):
-        key = ("backend", kind, config_wire,
-               None if pattern is None else tuple(pattern))
+    def backend(self, kind: str, config_wire):
+        key = ("backend", kind, config_wire)
         if key not in self._backends:
             from repro.runtime.engine import (
                 BatchedFftBackend,
@@ -88,8 +87,7 @@ class WorkerState:
                 )
             elif kind == "sparse":
                 backend = SparseBatchedFftBackend(
-                    weight_config=config_from_wire(config_wire),
-                    pattern=pattern,
+                    weight_config=config_from_wire(config_wire)
                 )
             else:
                 raise ValueError(f"unknown backend kind {kind!r}")
@@ -203,9 +201,7 @@ def _execute_mul(payload: Dict[str, Any], state: WorkerState) -> dict:
                 f"job polynomial {i} failed wire validation: {exc}"
             ) from exc
         polys.append(poly)
-    backend = state.backend(
-        payload["backend"], payload["config"], payload["pattern"]
-    )
+    backend = state.backend(payload["backend"], payload["config"])
     outs = backend.multiply_many(polys, payload["weights"])
     stats = backend.last_stats
     state.jobs_done += 1

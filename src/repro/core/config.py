@@ -87,19 +87,16 @@ class FlashConfig:
 
     def sparse_backend(
         self,
-        pattern: Optional[List[int]] = None,
         cluster=None,
         plan_cache: Optional[PlanCache] = None,
     ) -> SparseBatchedFftBackend:
         """Approximate backend running compiled sparse weight plans.
 
-        Per-weight structural patterns are inferred from each weight's
-        support unless a fixed layer ``pattern`` is given; ``plan_cache``
-        is as on :meth:`flash_backend`.
+        Each weight's structural pattern is inferred from its support;
+        ``plan_cache`` is as on :meth:`flash_backend`.
         """
         return SparseBatchedFftBackend(
             weight_config=self.weight_fft_config(),
-            pattern=pattern,
             cluster=cluster,
             plan_cache=plan_cache,
         )

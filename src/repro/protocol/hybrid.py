@@ -26,7 +26,7 @@ from repro.encoding.conv_encoding import (
     iter_row_bands,
     pad_input,
 )
-from repro.encoding.linear_encoding import LinearEncoder, LinearShape
+from repro.encoding.linear_encoding import LinearEncoder
 from repro.he.backend import PolyMulBackend
 from repro.he.bfv import BfvContext, Ciphertext
 from repro.he.params import BfvParameters
@@ -132,11 +132,85 @@ class _PartyPair:
 
 
 class _ResilientProtocolMixin:
-    """Transport routing and budget-guard helpers shared by the protocols.
+    """Construction, transport routing and the budget-guarded run shared
+    by the protocols.
 
-    Expects ``self.params``, ``self.backend``, ``self.transport`` and
-    ``self.guard`` attributes on the concrete protocol class.
+    A concrete protocol sets ``layer_name`` (default label), ``_span``
+    (trace span of one guarded run) and ``num_accumulated`` (products
+    summed per output, for the guard's noise prediction), and implements
+    ``_run_once(x, w, rng, party) -> List[ProtocolResult]``.
+
+    Args:
+        params: BFV parameters; ``t`` must be a power of two.
+        shape: layer shape.
+        backend: polynomial multiplication backend (exact NTT default).
+        transport: optional :class:`repro.faults.ResilientSession`; all
+            ciphertext traffic (client->server activations, server->client
+            results) then crosses its checksummed channel with bounded
+            retry, and the retry/timeout/dead-letter counts land in
+            :class:`ProtocolStats`.
+        guard: optional :class:`repro.faults.BudgetGuard` watching the
+            approximate path for noise-budget exhaustion (predicted via
+            :mod:`repro.he.noise` before the run, observed after); under
+            the ``"fallback"`` policy the layer transparently reruns on
+            the exact NTT backend.  Ignored for exact backends.
+        layer_name: label used in guard degradation events.
     """
+
+    def __init__(
+        self,
+        params: BfvParameters,
+        shape,
+        backend: Optional[PolyMulBackend] = None,
+        transport=None,
+        guard=None,
+        layer_name: Optional[str] = None,
+    ):
+        self.params = params
+        self.shape = shape
+        self.backend = backend if backend is not None else BatchedNttBackend()
+        self.transport = transport
+        self.guard = guard
+        if layer_name is not None:
+            self.layer_name = layer_name
+
+    def _fallback_protocol(self):
+        return type(self)(
+            self.params,
+            self.shape,
+            self.guard.fallback_backend(),
+            transport=self.transport,
+            layer_name=self.layer_name,
+        )
+
+    def _run_guarded(
+        self,
+        x: np.ndarray,
+        w: np.ndarray,
+        rng: np.random.Generator,
+        session: Optional[_PartyPair],
+    ) -> List[ProtocolResult]:
+        """Preflight, run, observe; rerun on the exact fallback backend
+        (results marked ``degraded``) when the guard predicts or observes
+        noise-budget exhaustion."""
+        with obs_trace.tracer.span(self._span):
+            party = session or _PartyPair(self.params, rng)
+            guarded = self._guarded()
+            if not guarded or not self.guard.preflight(
+                w, num_accumulated=self.num_accumulated, layer=self.layer_name
+            ):
+                results = self._run_once(x, w, rng, party)
+                worst = max((r.max_error for r in results), default=0)
+                if not guarded or not self.guard.observe(
+                    worst, layer=self.layer_name
+                ):
+                    return results
+            results = self._fallback_protocol()._run_guarded(
+                x, w, rng, party
+            )
+            for result in results:
+                result.stats.degraded = True
+            return results
 
     def _transfer_ct(self, ct: Ciphertext, stats: ProtocolStats) -> Ciphertext:
         """Route one ciphertext through the resilient transport.
@@ -211,47 +285,16 @@ class _ResilientProtocolMixin:
 class HybridConvProtocol(_ResilientProtocolMixin):
     """Private convolution via coefficient-encoded BFV (Cheetah-style).
 
-    Args:
-        params: BFV parameters; ``t`` must be a power of two.
-        shape: convolution shape (stride/padding supported).
-        backend: polynomial multiplication backend (exact NTT default).
-        transport: optional :class:`repro.faults.ResilientSession`; all
-            ciphertext traffic (client->server activations, server->client
-            results) then crosses its checksummed channel with bounded
-            retry, and the retry/timeout/dead-letter counts land in
-            :class:`ProtocolStats`.
-        guard: optional :class:`repro.faults.BudgetGuard` watching the
-            approximate path for noise-budget exhaustion (predicted via
-            :mod:`repro.he.noise` before the run, observed after); under
-            the ``"fallback"`` policy the layer transparently reruns on
-            the exact NTT backend.  Ignored for exact backends.
-        layer_name: label used in guard degradation events.
+    Constructor arguments are those of :class:`_ResilientProtocolMixin`;
+    ``shape`` is the :class:`ConvShape` (stride/padding supported).
     """
 
-    def __init__(
-        self,
-        params: BfvParameters,
-        shape: ConvShape,
-        backend: Optional[PolyMulBackend] = None,
-        transport=None,
-        guard=None,
-        layer_name: str = "conv",
-    ):
-        self.params = params
-        self.shape = shape
-        self.backend = backend if backend is not None else BatchedNttBackend()
-        self.transport = transport
-        self.guard = guard
-        self.layer_name = layer_name
+    layer_name = "conv"
+    _span = "protocol.conv_batch"
 
-    def _fallback_protocol(self) -> "HybridConvProtocol":
-        return HybridConvProtocol(
-            self.params,
-            self.shape,
-            self.guard.fallback_backend(),
-            transport=self.transport,
-            layer_name=self.layer_name,
-        )
+    @property
+    def num_accumulated(self) -> int:
+        return self.shape.in_channels
 
     def run(
         self,
@@ -275,7 +318,6 @@ class HybridConvProtocol(_ResilientProtocolMixin):
         """
         return self.run_batch(x, w, rng, session=session)[0]
 
-    @obs_trace.traced("protocol.conv_batch")
     def run_batch(
         self,
         xs: np.ndarray,
@@ -300,30 +342,9 @@ class HybridConvProtocol(_ResilientProtocolMixin):
         Returns:
             one :class:`ProtocolResult` per batch item, in order.
         """
-        party = session or _PartyPair(self.params, rng)
-        if self._guarded():
-            if self.guard.preflight(
-                w,
-                num_accumulated=self.shape.in_channels,
-                layer=self.layer_name,
-            ):
-                results = self._fallback_protocol().run_batch(
-                    xs, w, rng, session=party
-                )
-                for result in results:
-                    result.stats.degraded = True
-                return results
-        results = self._run_batch_once(xs, w, rng, party)
-        worst = max((r.max_error for r in results), default=0)
-        if self._guarded() and self.guard.observe(worst, layer=self.layer_name):
-            results = self._fallback_protocol().run_batch(
-                xs, w, rng, session=party
-            )
-            for result in results:
-                result.stats.degraded = True
-        return results
+        return self._run_guarded(xs, w, rng, session)
 
-    def _run_batch_once(
+    def _run_once(
         self,
         xs: np.ndarray,
         w: np.ndarray,
@@ -507,35 +528,14 @@ class HybridConvProtocol(_ResilientProtocolMixin):
 class HybridLinearProtocol(_ResilientProtocolMixin):
     """Private fully-connected layer ``y = W @ x`` (same one-round flow).
 
-    ``transport`` and ``guard`` behave as on :class:`HybridConvProtocol`.
+    Constructor arguments are those of :class:`_ResilientProtocolMixin`;
+    ``shape`` is the :class:`repro.encoding.linear_encoding.LinearShape`.
     """
 
-    def __init__(
-        self,
-        params: BfvParameters,
-        shape: LinearShape,
-        backend: Optional[PolyMulBackend] = None,
-        transport=None,
-        guard=None,
-        layer_name: str = "linear",
-    ):
-        self.params = params
-        self.shape = shape
-        self.backend = backend if backend is not None else BatchedNttBackend()
-        self.transport = transport
-        self.guard = guard
-        self.layer_name = layer_name
+    layer_name = "linear"
+    _span = "protocol.linear"
+    num_accumulated = 1
 
-    def _fallback_protocol(self) -> "HybridLinearProtocol":
-        return HybridLinearProtocol(
-            self.params,
-            self.shape,
-            self.guard.fallback_backend(),
-            transport=self.transport,
-            layer_name=self.layer_name,
-        )
-
-    @obs_trace.traced("protocol.linear")
     def run(
         self,
         x: np.ndarray,
@@ -543,19 +543,7 @@ class HybridLinearProtocol(_ResilientProtocolMixin):
         rng: np.random.Generator,
         session: Optional[_PartyPair] = None,
     ) -> ProtocolResult:
-        party = session or _PartyPair(self.params, rng)
-        if self._guarded():
-            if self.guard.preflight(w, num_accumulated=1, layer=self.layer_name):
-                result = self._fallback_protocol().run(x, w, rng, session=party)
-                result.stats.degraded = True
-                return result
-        result = self._run_once(x, w, rng, party)
-        if self._guarded() and self.guard.observe(
-            result.max_error, layer=self.layer_name
-        ):
-            result = self._fallback_protocol().run(x, w, rng, session=party)
-            result.stats.degraded = True
-        return result
+        return self._run_guarded(x, w, rng, session)[0]
 
     def _run_once(
         self,
@@ -563,7 +551,7 @@ class HybridLinearProtocol(_ResilientProtocolMixin):
         w: np.ndarray,
         rng: np.random.Generator,
         party: _PartyPair,
-    ) -> ProtocolResult:
+    ) -> List[ProtocolResult]:
         ring, ctx = party.ring, party.ctx
         stats = ProtocolStats()
         t = self.params.t
@@ -632,13 +620,15 @@ class HybridLinearProtocol(_ResilientProtocolMixin):
         y_client = ring.reduce(enc.decode_output(client_products))
         y_server = ring.reduce(enc.decode_output(masks))
 
-        return ProtocolResult(
-            client_share=y_client,
-            server_share=y_server,
-            reconstructed=ring.reconstruct(y_client, y_server),
-            expected=expected,
-            stats=stats,
-        )
+        return [
+            ProtocolResult(
+                client_share=y_client,
+                server_share=y_server,
+                reconstructed=ring.reconstruct(y_client, y_server),
+                expected=expected,
+                stats=stats,
+            )
+        ]
 
 
 def make_session(params: BfvParameters, rng: np.random.Generator) -> _PartyPair:

@@ -91,16 +91,91 @@ def _spectrum_row(spec: ApproxSpectrum, row: int) -> ApproxSpectrum:
     return ApproxSpectrum(values=spec.values[row], scale=float(scale[row]))
 
 
-def _sparse_plan(
-    cache: PlanCache, cfg: ApproxFftConfig, n: int, folded_pattern: np.ndarray
-):
-    """Compiled sparse plan for one folded pattern (cached, digested)."""
-    from repro.sparse.plan import SparsePlan
+def _keyed_weight_spectra(
+    cache: PlanCache,
+    key_prefix: Tuple,
+    weights: Sequence[np.ndarray],
+    forward_batch: Callable[[np.ndarray], ApproxSpectrum],
+) -> List[ApproxSpectrum]:
+    """:func:`batched_weight_spectra` keyed by ``key_prefix`` plus each
+    weight's int64 bytes."""
+    weights = [np.ascontiguousarray(w, dtype=np.int64) for w in weights]
+    keys = [key_prefix + (w.tobytes(),) for w in weights]
+    return batched_weight_spectra(cache, keys, weights, forward_batch)
 
-    key = ("sparse-plan", n // 2, approx_config_key(cfg), folded_pattern.tobytes())
+
+def fft_pipeline(
+    cache: PlanCache, cfg: Optional[ApproxFftConfig], n: int
+) -> ApproxNegacyclic:
+    """Cached folded-FFT pipeline for ring degree ``n`` (``cfg=None``:
+    float64 weight path)."""
+    if cfg is not None and cfg.n != n // 2:
+        raise ValueError(
+            f"weight core is {cfg.n}-point but ring needs {n // 2}"
+        )
     return cache.get_or_build(
-        key, lambda: SparsePlan(cfg, folded_pattern, sign=+1)
+        ("fft-plan", n, approx_config_key(cfg)),
+        lambda: ApproxNegacyclic(n, cfg),
     )
+
+
+def sparse_weight_spectra(
+    plan_cache: PlanCache,
+    spectrum_cache: PlanCache,
+    cfg: ApproxFftConfig,
+    n: int,
+    key_prefix: Tuple,
+    weights: Sequence[np.ndarray],
+    patterns: Sequence[np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Sparse weight spectra, one compiled plan per folded pattern.
+
+    ``patterns[i]`` is the folded structural zero pattern of
+    ``weights[i]``.  Weights are grouped by pattern (first-appearance
+    order); each group fetches or compiles its plan once from
+    ``plan_cache`` and runs its misses in ``spectrum_cache`` (keys
+    ``key_prefix + (pattern bytes, weight bytes)``) through one
+    ``SparseWeightPipeline.weight_forward_batch`` call.  Every spectrum is
+    bit-identical to per-call
+    :meth:`repro.sparse.sparse_fxp.SparseApproxNegacyclic.weight_forward`
+    with the same pattern.
+
+    Returns:
+        the ``(len(weights), n // 2)`` spectra, and an int64
+        ``(len(weights), 3)`` array of the realized, dense and
+        :mod:`repro.sparse.opcount` model mult counts of each input's plan
+        (see :meth:`RuntimeStats.charge_weight_mults`).
+    """
+    from repro.sparse.opcount import sparse_fft_mults
+    from repro.sparse.plan import SparsePlan, SparseWeightPipeline
+
+    cfg_key = approx_config_key(cfg)
+    groups: Dict[bytes, List[int]] = {}
+    for i, pattern in enumerate(patterns):
+        groups.setdefault(pattern.tobytes(), []).append(i)
+    rows = np.empty((len(weights), n // 2), dtype=np.complex128)
+    mults = np.empty((len(weights), 3), dtype=np.int64)
+    for pattern_bytes, idxs in groups.items():
+        pattern = patterns[idxs[0]]
+        plan = plan_cache.get_or_build(
+            ("sparse-plan", n // 2, cfg_key, pattern_bytes),
+            lambda: SparsePlan(cfg, pattern, sign=+1),
+        )
+        pipe = SparseWeightPipeline(n, cfg, pattern, plan=plan)
+        specs = _keyed_weight_spectra(
+            spectrum_cache,
+            key_prefix + (pattern_bytes,),
+            [weights[i] for i in idxs],
+            pipe.weight_forward_batch,
+        )
+        for i, spec in zip(idxs, specs):
+            rows[i] = spec.values
+        mults[idxs] = (
+            plan.mults,
+            plan.dense_mults,
+            sparse_fft_mults(tuple(int(v) for v in pattern), n // 2),
+        )
+    return rows, mults
 
 
 @dataclass
@@ -129,8 +204,39 @@ class RuntimeStats:
     #: respawns, requeues, serial fallbacks, ...); empty on in-process runs.
     cluster: Dict[str, float] = field(default_factory=dict)
 
+    @classmethod
+    def from_cluster(cls, cluster, mode: str, batch: int) -> "RuntimeStats":
+        """Stats of the call that just ran on ``cluster``: the summed
+        worker-side job stats plus the call's supervision counters."""
+        job_stats = cluster.last_job_stats
+        return cls(
+            mode=mode,
+            batch=batch,
+            workers=cluster.policy.workers,
+            cluster=dict(cluster.last_cluster),
+            **{
+                name: job_stats.get(name, 0)
+                for name in (
+                    "products",
+                    "weight_transforms",
+                    "weight_mults_realized",
+                    "weight_mults_dense",
+                    "weight_mults_model",
+                )
+            },
+        )
+
     def add(self, stage: str, seconds: float) -> None:
         self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) + seconds
+
+    def charge_weight_mults(self, mults: np.ndarray) -> None:
+        """Charge one weight transform per row of a ``(k, 3)`` array of
+        realized, dense and model mult counts."""
+        realized, dense, model = (int(v) for v in mults.sum(axis=0))
+        self.weight_transforms += len(mults)
+        self.weight_mults_realized += realized
+        self.weight_mults_dense += dense
+        self.weight_mults_model += model
 
     @property
     def total_seconds(self) -> float:
@@ -296,13 +402,6 @@ class BatchedHConvEngine:
             ("ntt-plan", n, q), lambda: get_ntt(n, q)
         )
 
-    def _fft_pipeline(self, n: int) -> ApproxNegacyclic:
-        cfg = self.weight_config
-        key = ("fft-plan", n, approx_config_key(cfg))
-        return self.plan_cache.get_or_build(
-            key, lambda: ApproxNegacyclic(n, cfg)
-        )
-
     def _ntt_weight_spectrum(self, plan, q: int, w_poly: np.ndarray):
         w_poly = np.ascontiguousarray(w_poly, dtype=np.int64)
         key = ("ntt-wspec", plan.n, q, w_poly.tobytes())
@@ -310,130 +409,36 @@ class BatchedHConvEngine:
             key, lambda: plan.forward(from_centered(w_poly, q))
         )
 
-    def _fft_weight_specs(
-        self, pipe: ApproxNegacyclic, w_polys: List[np.ndarray]
-    ) -> List[ApproxSpectrum]:
-        cfg_key = approx_config_key(self.weight_config)
-        keys = [
-            ("fft-wspec", pipe.n, cfg_key, np.asarray(w, np.int64).tobytes())
-            for w in w_polys
-        ]
-        return batched_weight_spectra(
-            self.plan_cache, keys, w_polys, pipe.weight_forward_batch
-        )
-
-    def _sparse_poly_spectrum(self, n: int, w_poly: np.ndarray):
-        """Sparse spectrum of one standalone weight polynomial.
-
-        Without encoder tile metadata the structural pattern is the
-        polynomial's own support (a superset never changes the result,
-        so this is exact for any weight).
-        """
-        from repro.sparse.patterns import fold_valid_indices
-        from repro.sparse.plan import SparseWeightPipeline
-
-        w_poly = np.ascontiguousarray(w_poly, dtype=np.int64)
-        pattern = fold_valid_indices(np.nonzero(w_poly)[0], n)
-        plan = _sparse_plan(self.plan_cache, self.weight_config, n, pattern)
-        key = (
-            "sparse-wspec",
-            n,
-            approx_config_key(self.weight_config),
-            pattern.tobytes(),
-            w_poly.tobytes(),
-        )
-        pipe_s = SparseWeightPipeline(n, self.weight_config, pattern, plan=plan)
-        (spec,) = batched_weight_spectra(
-            self.plan_cache, [key], [w_poly], pipe_s.weight_forward_batch
-        )
-        return spec
-
-    def _sparse_weight_specs(
+    def _sparse_weight_rows(
         self,
         n: int,
         enc: Conv2dEncoder,
         pairs: List[Tuple[int, int]],
         w_polys: Dict[Tuple[int, int], np.ndarray],
         stats: RuntimeStats,
-    ) -> Dict[Tuple[int, int], np.ndarray]:
-        """Sparse weight spectra for every ``(tile, m)`` pair of a band.
+    ) -> np.ndarray:
+        """Sparse weight spectra of a band's ``(tile, m)`` pairs, in order.
 
-        All output channels of a tile share one structural pattern
+        All output channels of a tile share its structural pattern
         (:meth:`Conv2dEncoder.weight_valid_indices`), hence one compiled
-        plan; cache-missing spectra of a tile are computed in a single
-        batched plan execution (:func:`batched_weight_spectra`).  Mult
-        counters are charged per requested transform so the accounting is
-        cache-warmth independent.
+        plan and one batched execution of the tile's misses
+        (:func:`sparse_weight_spectra`).  Mult counters are charged per
+        requested transform so the accounting is cache-warmth independent.
         """
-        from repro.sparse.opcount import sparse_fft_mults
         from repro.sparse.patterns import fold_valid_indices
-        from repro.sparse.plan import SparseWeightPipeline
 
-        cfg_key = approx_config_key(self.weight_config)
-        w_specs: Dict[Tuple[int, int], np.ndarray] = {}
+        key_prefix = ("sparse-wspec", n, approx_config_key(self.weight_config))
+        rows = []
         for tile in sorted({t for t, _ in pairs}):
+            group = [w_polys[pair] for pair in pairs if pair[0] == tile]
             pattern = fold_valid_indices(enc.weight_valid_indices(tile), n)
-            plan = _sparse_plan(self.plan_cache, self.weight_config, n, pattern)
-            pipe_s = SparseWeightPipeline(
-                n, self.weight_config, pattern, plan=plan
+            tile_rows, mults = sparse_weight_spectra(
+                self.plan_cache, self.plan_cache, self.weight_config, n,
+                key_prefix, group, [pattern] * len(group),
             )
-            group = [pair for pair in pairs if pair[0] == tile]
-            keys = {
-                pair: (
-                    "sparse-wspec",
-                    n,
-                    cfg_key,
-                    pattern.tobytes(),
-                    np.ascontiguousarray(
-                        w_polys[pair], dtype=np.int64
-                    ).tobytes(),
-                )
-                for pair in group
-            }
-            specs = batched_weight_spectra(
-                self.plan_cache,
-                [keys[pair] for pair in group],
-                [w_polys[pair] for pair in group],
-                pipe_s.weight_forward_batch,
-            )
-            for pair, spec in zip(group, specs):
-                w_specs[pair] = spec.values
-            stats.weight_transforms += len(group)
-            stats.weight_mults_realized += plan.mults * len(group)
-            stats.weight_mults_dense += plan.dense_mults * len(group)
-            stats.weight_mults_model += sparse_fft_mults(
-                tuple(int(v) for v in pattern), n // 2
-            ) * len(group)
-        return w_specs
-
-    # -- batched polynomial products ------------------------------------
-
-    def polymul_batch(self, a_batch, w_poly, value_bound: int) -> np.ndarray:
-        """Batched negacyclic products of ``(B, n)`` ints by one weight.
-
-        Args:
-            a_batch: signed integer activations, ``(B, n)``.
-            w_poly: signed integer weight polynomial, ``(n,)``.
-            value_bound: bound on result magnitudes (sizes the NTT prime).
-        """
-        a_batch = np.atleast_2d(np.asarray(a_batch, dtype=np.int64))
-        w_poly = np.asarray(w_poly, dtype=np.int64)
-        n = a_batch.shape[-1]
-        if self.mode == "ntt":
-            q = self._modulus_for(n, value_bound)
-            plan = self._ntt_plan(n, q)
-            w_spec = self._ntt_weight_spectrum(plan, q, w_poly)
-            spec = mulmod(plan.forward_batch(from_centered(a_batch, q)), w_spec, q)
-            return centered(plan.inverse_batch(spec), q)
-        pipe = self._fft_pipeline(n)
-        if self.mode == "sparse":
-            w_spec = self._sparse_poly_spectrum(n, w_poly)
-        else:
-            (w_spec,) = self._fft_weight_specs(pipe, [w_poly])
-        a_spec = pipe.activation_forward_batch(a_batch.astype(np.float64))
-        return _round_rows_exact(
-            pipe.multiply_spectra_batch(w_spec.values, a_spec)
-        )
+            rows.append(tile_rows)
+            stats.charge_weight_mults(mults)
+        return np.concatenate(rows)
 
     @staticmethod
     def _modulus_for(n: int, value_bound: int) -> int:
@@ -531,17 +536,8 @@ class BatchedHConvEngine:
             self.mode, self.weight_config, xs, w, shape, n,
             deadline_s=deadline_s,
         )
-        job_stats = self.cluster.last_job_stats
-        self.last_stats = RuntimeStats(
-            mode=self.mode,
-            batch=xs.shape[0],
-            workers=self.cluster.policy.workers,
-            products=job_stats.get("products", 0),
-            weight_transforms=job_stats.get("weight_transforms", 0),
-            weight_mults_realized=job_stats.get("weight_mults_realized", 0),
-            weight_mults_dense=job_stats.get("weight_mults_dense", 0),
-            weight_mults_model=job_stats.get("weight_mults_model", 0),
-            cluster=dict(self.cluster.last_cluster),
+        self.last_stats = RuntimeStats.from_cluster(
+            self.cluster, self.mode, xs.shape[0]
         )
         return out
 
@@ -572,47 +568,46 @@ class BatchedHConvEngine:
             q = self._modulus_for(n, bound)
             plan = self._ntt_plan(n, q)
             with _Timer(stats, "weight_transform"):
-                w_specs = {
-                    pair: self._ntt_weight_spectrum(plan, q, w_polys[pair])
+                w_rows = np.stack([
+                    self._ntt_weight_spectrum(plan, q, w_polys[pair])
                     for pair in pairs
-                }
+                ])
             with _Timer(stats, "activation_transform"):
                 a_spec = plan.forward_batch(from_centered(a_stack, q))
 
-            def pointwise_inverse(w_rows, a_idx):
-                spec = mulmod(a_spec[a_idx], w_rows, q)
+            def pointwise_inverse(w_batch, a_idx):
+                spec = mulmod(a_spec[a_idx], w_batch, q)
                 return centered(plan.inverse_batch(spec), q)
 
         else:
-            pipe = self._fft_pipeline(n)
+            pipe = fft_pipeline(self.plan_cache, self.weight_config, n)
             with _Timer(stats, "weight_transform"):
                 if self.mode == "sparse":
-                    w_specs = self._sparse_weight_specs(
+                    w_rows = self._sparse_weight_rows(
                         n, enc, pairs, w_polys, stats
                     )
                 else:
-                    specs = self._fft_weight_specs(
-                        pipe, [w_polys[pair] for pair in pairs]
+                    specs = _keyed_weight_spectra(
+                        self.plan_cache,
+                        ("fft-wspec", n, approx_config_key(self.weight_config)),
+                        [w_polys[pair] for pair in pairs],
+                        pipe.weight_forward_batch,
                     )
-                    w_specs = {
-                        pair: spec.values for pair, spec in zip(pairs, specs)
-                    }
+                    w_rows = np.stack([spec.values for spec in specs])
                     if self.mode == "flash":
                         # Dense fixed-point weight FFT: every butterfly
                         # multiplies, so realized == dense == model.
                         stages = (n // 2).bit_length() - 1
-                        dense = (n // 4) * stages * len(pairs)
-                        stats.weight_transforms += len(pairs)
-                        stats.weight_mults_realized += dense
-                        stats.weight_mults_dense += dense
-                        stats.weight_mults_model += dense
+                        stats.charge_weight_mults(
+                            np.full((len(pairs), 3), (n // 4) * stages)
+                        )
             with _Timer(stats, "activation_transform"):
                 a_spec = pipe.activation_forward_batch(
                     a_stack.astype(np.float64)
                 )
 
-            def pointwise_inverse(w_rows, a_idx):
-                coeffs = pipe.multiply_spectra_batch(w_rows, a_spec[a_idx])
+            def pointwise_inverse(w_batch, a_idx):
+                coeffs = pipe.multiply_spectra_batch(w_batch, a_spec[a_idx])
                 return _round_rows_exact(coeffs)
 
         with _Timer(stats, "pointwise+inverse"):
@@ -624,9 +619,7 @@ class BatchedHConvEngine:
                 for item in range(batch)
                 for tile, _ in pairs
             ]
-            rows = pointwise_inverse(
-                np.stack([w_specs[pair] for pair in pairs] * batch), a_idx
-            )
+            rows = pointwise_inverse(np.concatenate([w_rows] * batch), a_idx)
         stats.products += len(pairs) * batch
 
         with _Timer(stats, "decode"):
@@ -647,34 +640,18 @@ class BatchedHConvEngine:
 # ---------------------------------------------------------------------------
 
 
-def _cluster_multiply_many(backend, kind, pattern, polys, weights_list):
+def _cluster_multiply_many(backend, kind, polys, weights_list):
     """Shared cluster delegation of a backend's ``multiply_many``.
 
     Serializes the polynomials through the protocol wire format, shards
     them across the backend's :class:`repro.cluster.ClusterExecutor`, and
-    rebuilds ``last_stats`` from the worker-side job stats plus the
-    per-call supervision counters.
+    rebuilds ``last_stats`` with :meth:`RuntimeStats.from_cluster`.
     """
     cluster = backend.cluster
     outs = cluster.multiply_many(
-        kind,
-        getattr(backend, "weight_config", None),
-        pattern,
-        polys,
-        weights_list,
+        kind, getattr(backend, "weight_config", None), polys, weights_list
     )
-    job_stats = cluster.last_job_stats
-    backend.last_stats = RuntimeStats(
-        mode=kind,
-        batch=len(polys),
-        products=job_stats.get("products", 0),
-        workers=cluster.policy.workers,
-        weight_transforms=job_stats.get("weight_transforms", 0),
-        weight_mults_realized=job_stats.get("weight_mults_realized", 0),
-        weight_mults_dense=job_stats.get("weight_mults_dense", 0),
-        weight_mults_model=job_stats.get("weight_mults_model", 0),
-        cluster=dict(cluster.last_cluster),
-    )
+    backend.last_stats = RuntimeStats.from_cluster(cluster, kind, len(polys))
     return outs
 
 
@@ -738,9 +715,7 @@ class BatchedNttBackend(PolyMulBackend):
         if not polys:
             return []
         if self.cluster is not None:
-            return _cluster_multiply_many(
-                self, "ntt", None, polys, weights_list
-            )
+            return _cluster_multiply_many(self, "ntt", polys, weights_list)
         basis = polys[0].basis
         count = len(polys)
         w_spectra = np.stack(
@@ -848,15 +823,7 @@ class BatchedFftBackend(PolyMulBackend):
         self.last_stats = RuntimeStats(mode=self._stats_mode)
 
     def pipeline(self, n: int) -> ApproxNegacyclic:
-        cfg = self.weight_config
-        if cfg is not None and cfg.n != n // 2:
-            raise ValueError(
-                f"weight core is {cfg.n}-point but ring needs {n // 2}"
-            )
-        return self._pipelines.get_or_build(
-            ("fft-plan", n, approx_config_key(cfg)),
-            lambda: ApproxNegacyclic(n, cfg),
-        )
+        return fft_pipeline(self._pipelines, self.weight_config, n)
 
     @obs_trace.traced("he.weight_spectrum")
     def weight_spectra(
@@ -864,19 +831,12 @@ class BatchedFftBackend(PolyMulBackend):
     ) -> List[ApproxSpectrum]:
         """Cached approximate forward transforms of weight polynomials
         (the call's misses run as one batch)."""
-        weights = [
-            np.ascontiguousarray(w, dtype=np.int64) for w in weights_list
-        ]
-        return batched_weight_spectra(
+        return _keyed_weight_spectra(
             self._spectrum_cache,
-            [(n, w.tobytes()) for w in weights],
-            weights,
+            (n,),
+            weights_list,
             self.pipeline(n).weight_forward_batch,
         )
-
-    def weight_spectrum(self, n: int, weights: np.ndarray) -> ApproxSpectrum:
-        """Cached approximate forward transform of a weight polynomial."""
-        return self.weight_spectra(n, [weights])[0]
 
     @property
     def cache_stats(self) -> dict:
@@ -888,16 +848,18 @@ class BatchedFftBackend(PolyMulBackend):
 
     def _weight_rows(
         self, n: int, weights_list: List[np.ndarray]
-    ) -> Tuple[np.ndarray, Dict[str, int]]:
-        """Stacked weight spectra plus mult accounting for one call.
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Stacked weight spectra plus their mult counts for one call.
 
         Subclasses override this to change how spectra are produced (the
-        sparse backend swaps in compiled plans); the accounting dict feeds
-        the ``weight_mults_*`` fields of ``last_stats`` and is returned
-        (not stored on ``self``) so concurrent calls stay race-free.
+        sparse backend swaps in compiled plans); the ``(k, 3)`` counts are
+        charged to ``last_stats`` (:meth:`RuntimeStats.charge_weight_mults`).
         """
         specs = self.weight_spectra(n, weights_list)
-        return np.stack([spec.values for spec in specs]), {}
+        return (
+            np.stack([spec.values for spec in specs]),
+            np.empty((0, 3), dtype=np.int64),
+        )
 
     @obs_trace.traced("runtime.multiply_many")
     def multiply_many(
@@ -909,13 +871,12 @@ class BatchedFftBackend(PolyMulBackend):
             return []
         if self.cluster is not None:
             return _cluster_multiply_many(
-                self, self._stats_mode, getattr(self, "pattern", None),
-                polys, weights_list,
+                self, self._stats_mode, polys, weights_list
             )
         basis = polys[0].basis
         n = basis.n
         pipe = self.pipeline(n)
-        w_rows, mult_stats = self._weight_rows(n, weights_list)
+        w_rows, mults = self._weight_rows(n, weights_list)
 
         # Centered lift loses only bits beyond float64's 53-bit mantissa --
         # exactly the LSB error the approximate scheme is designed to
@@ -929,12 +890,11 @@ class BatchedFftBackend(PolyMulBackend):
             RingPoly(basis, _reduce_float_row(row, basis.primes))
             for row in products
         ]
-        self.last_stats = RuntimeStats(
-            mode=self._stats_mode,
-            batch=len(polys),
-            products=len(polys),
-            **mult_stats,
+        stats = RuntimeStats(
+            mode=self._stats_mode, batch=len(polys), products=len(polys)
         )
+        stats.charge_weight_mults(mults)
+        self.last_stats = stats
         return out
 
 
@@ -943,35 +903,30 @@ class SparseBatchedFftBackend(BatchedFftBackend):
 
     Identical to :class:`BatchedFftBackend` except that each weight's
     spectrum is produced by a :class:`repro.sparse.plan.SparsePlan`
-    compiled for its structural zero pattern -- by default the weight's
-    own support (``np.nonzero``), optionally a fixed layer ``pattern``.
-    Weights sharing a folded pattern share one plan and are transformed
-    in one batched execution; every spectrum is bit-identical to per-call
+    compiled for its structural zero pattern, here the weight's own
+    support (``np.nonzero``).  The spectra come from
+    :func:`sparse_weight_spectra`, the helper the clear-domain
+    :class:`BatchedHConvEngine` uses with its encoder tiles' patterns:
+    weights sharing a folded pattern share one plan and are transformed
+    in one batched execution, and every spectrum is bit-identical to
+    per-call
     :meth:`repro.sparse.sparse_fxp.SparseApproxNegacyclic.weight_forward`
     with the same pattern.
 
     ``last_stats`` reports realized/dense/model multiplication counts per
     *distinct* weight in the call (c0/c1 and cross-item repeats dedupe by
-    spectrum key), so the accounting is deterministic and cache-warmth
+    weight bytes), so the accounting is deterministic and cache-warmth
     independent.
     """
 
     _stats_mode = "sparse"
 
     def __init__(
-        self,
-        weight_config: Optional[ApproxFftConfig] = None,
-        pattern: Optional[Sequence[int]] = None,
-        **kwargs,
+        self, weight_config: Optional[ApproxFftConfig] = None, **kwargs
     ):
         super().__init__(weight_config=weight_config, **kwargs)
         if self.weight_config is None:
             raise ValueError("SparseBatchedFftBackend needs a weight_config")
-        self.pattern = (
-            None
-            if pattern is None
-            else np.array(sorted({int(v) for v in pattern}), dtype=np.int64)
-        )
         # Compiled plans get their own byte-accounted, digest-checked cache:
         # per-weight support inference can produce many more patterns than
         # the small ``_pipelines`` entry bound was sized for.
@@ -981,59 +936,25 @@ class SparseBatchedFftBackend(BatchedFftBackend):
 
     def _weight_rows(
         self, n: int, weights_list: List[np.ndarray]
-    ) -> Tuple[np.ndarray, Dict[str, int]]:
-        from repro.sparse.opcount import sparse_fft_mults
+    ) -> Tuple[np.ndarray, np.ndarray]:
         from repro.sparse.patterns import fold_valid_indices
-        from repro.sparse.plan import SparseWeightPipeline
 
+        # Repeated weights (c0/c1 of one ciphertext, shared kernels across
+        # a batch) are transformed and counted once.
         weights = [
             np.ascontiguousarray(w, dtype=np.int64) for w in weights_list
         ]
-        folded = []
+        unique: Dict[bytes, np.ndarray] = {}
         for w in weights:
-            support = self.pattern if self.pattern is not None else (
-                np.nonzero(w)[0]
-            )
-            folded.append(fold_valid_indices(support, n))
-        # Group indices by folded pattern; within a group, dedupe weights
-        # by bytes so repeated weights (c0/c1 of one ciphertext, shared
-        # kernels across a batch) are transformed and counted once.
-        groups: Dict[bytes, List[int]] = {}
-        for i, fp in enumerate(folded):
-            groups.setdefault(fp.tobytes(), []).append(i)
-        rows = np.empty((len(weights), n // 2), dtype=np.complex128)
-        realized = dense = model = transforms = 0
-        for idxs in groups.values():
-            fp = folded[idxs[0]]
-            plan = _sparse_plan(self.plan_cache, self.weight_config, n, fp)
-            pipe_s = SparseWeightPipeline(
-                n, self.weight_config, fp, plan=plan
-            )
-            keys = {
-                i: ("sparse-wspec", n, fp.tobytes(), weights[i].tobytes())
-                for i in idxs
-            }
-            unique: Dict[Hashable, List[int]] = {}
-            for i in idxs:
-                unique.setdefault(keys[i], []).append(i)
-            specs = batched_weight_spectra(
-                self._spectrum_cache,
-                list(unique),
-                [weights[shared[0]] for shared in unique.values()],
-                pipe_s.weight_forward_batch,
-            )
-            for spec, shared in zip(specs, unique.values()):
-                rows[shared] = spec.values
-            mults_model = sparse_fft_mults(
-                tuple(int(v) for v in fp), n // 2
-            )
-            transforms += len(unique)
-            realized += plan.mults * len(unique)
-            dense += plan.dense_mults * len(unique)
-            model += mults_model * len(unique)
-        return rows, {
-            "weight_transforms": transforms,
-            "weight_mults_realized": realized,
-            "weight_mults_dense": dense,
-            "weight_mults_model": model,
-        }
+            unique.setdefault(w.tobytes(), w)
+        rows, mults = sparse_weight_spectra(
+            self.plan_cache,
+            self._spectrum_cache,
+            self.weight_config,
+            n,
+            ("sparse-wspec", n),
+            list(unique.values()),
+            [fold_valid_indices(np.nonzero(w)[0], n) for w in unique.values()],
+        )
+        slot = {key: i for i, key in enumerate(unique)}
+        return rows[[slot[w.tobytes()] for w in weights]], mults

@@ -92,18 +92,20 @@ def mul_request(
     tenant: str,
     backend: str,
     config,
-    pattern,
     basis,
     poly_blobs: List[bytes],
     weights: List[np.ndarray],
     deadline_at: Optional[float] = None,
 ) -> bytes:
-    """One ``multiply_many`` request over already-serialized polynomials."""
+    """One ``multiply_many`` request over already-serialized polynomials.
+
+    ``backend`` is ``"ntt"``, ``"flash"`` or ``"sparse"``; a sparse
+    backend compiles each weight's plan from that weight's own support.
+    """
     payload = {
         "tenant": str(tenant),
         "backend": str(backend),
         "config": config_to_wire(config),
-        "pattern": None if pattern is None else [int(v) for v in pattern],
         "basis": basis_to_wire(basis),
         "polys": list(poly_blobs),
         "weights": [

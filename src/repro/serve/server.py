@@ -554,8 +554,6 @@ class InferenceServer:
         else:
             key = (
                 pending.kind, effective, payload["config"],
-                None if payload["pattern"] is None
-                else tuple(payload["pattern"]),
                 tuple(payload["basis"][1]), payload["basis"][0],
             )
         return effective, degraded, key
@@ -782,7 +780,6 @@ class InferenceServer:
                 out_blobs = self.cluster.multiply_many_blobs(
                     backend,
                     config_from_wire(payload["config"]),
-                    payload["pattern"],
                     basis_from_wire(payload["basis"]),
                     blobs,
                     weights,
@@ -797,7 +794,6 @@ class InferenceServer:
             job = {
                 "backend": backend,
                 "config": payload["config"],
-                "pattern": payload["pattern"],
                 "basis": payload["basis"],
                 "polys": blobs,
                 "weights": weights,

@@ -93,10 +93,9 @@ class TestFlashConfig:
         flash = cfg.flash_backend()
         assert type(flash) is BatchedFftBackend
         assert flash.weight_config == cfg.weight_fft_config()
-        sparse = cfg.sparse_backend(pattern=[0, 1])
+        sparse = cfg.sparse_backend()
         assert isinstance(sparse, SparseBatchedFftBackend)
         assert sparse.weight_config == cfg.weight_fft_config()
-        assert list(sparse.pattern) == [0, 1]
 
     def test_describe(self):
         assert "k=5" in FlashConfig(params=toy_preset()).describe()

@@ -30,7 +30,7 @@ from repro.fftcore.reference import (
 from repro.fftcore.twiddle_quant import TwiddleRom
 from repro.ntt.modmath import bit_reverse_indices
 from repro.runtime import BatchedHConvEngine, PlanCache
-from repro.runtime.engine import batched_weight_spectra
+from repro.runtime.engine import batched_weight_spectra, fft_pipeline
 from repro.encoding import ConvShape, conv2d_direct
 
 
@@ -361,7 +361,7 @@ class TestBatchedWeightSpectra:
             # Spectra equal per-call weight_forward on the same pipeline.
             fresh = BatchedHConvEngine(mode, weight_config=cfg)
             fresh.conv2d_batch(xs, w, shape, N)
-            pipe = fresh._fft_pipeline(N)
+            pipe = fft_pipeline(fresh.plan_cache, cfg, N)
             for key in fresh.plan_cache.keys():
                 if key[0] != "fft-wspec":
                     continue

@@ -291,7 +291,7 @@ class TestFftLiftReduce:
         lift = np.array(
             [float(v) for v in ref_centered(basis, poly.residues)]
         )
-        spec = backend.weight_spectrum(n, w)
+        (spec,) = backend.weight_spectra(n, [w])
         products = pipe.multiply_spectra_batch(
             spec.values[None], pipe.activation_forward_batch(lift[None])
         )[0]

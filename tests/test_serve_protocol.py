@@ -157,23 +157,26 @@ class TestServerConv:
         assert stats["batched_requests"] == 4
         assert stats["accounting"]["unaccounted"] == 0
 
-    def test_mul_request_matches_serial_oracle(self):
+    @pytest.mark.parametrize("backend", ["ntt", "flash", "sparse"])
+    def test_mul_request_matches_serial_oracle(self, backend):
         from repro.he import toy_preset
         from repro.he.poly import uniform_poly
         from repro.protocol.wire import serialize_poly
 
+        cfg = None if backend == "ntt" else GOOD_CFG
         params = toy_preset(n=N)
         rng = np.random.default_rng(5)
         blobs = [
             serialize_poly(uniform_poly(params.basis, rng)) for _ in range(3)
         ]
         weights = [rng.integers(-3, 4, size=N) for _ in range(3)]
+        for w_ in weights:
+            w_[rng.random(N) < 0.6] = 0  # structural sparsity
         expected = execute_job(
             MSG_JOB_MUL,
             {
-                "backend": "ntt",
-                "config": None,
-                "pattern": None,
+                "backend": backend,
+                "config": config_to_wire(cfg),
                 "basis": basis_to_wire(params.basis),
                 "polys": list(blobs),
                 "weights": [np.ascontiguousarray(w_) for w_ in weights],
@@ -182,10 +185,10 @@ class TestServerConv:
         )["polys"]
         with serve() as server:
             kind, _, body = decode_reply(server.submit(mul_request(
-                9, "t", "ntt", None, None, params.basis, blobs, weights,
+                9, "t", backend, cfg, params.basis, blobs, weights,
             )))
         assert kind == REP_RESULT
-        assert body["backend"] == "ntt"
+        assert body["backend"] == backend
         assert body["polys"] == expected
 
 
