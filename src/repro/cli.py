@@ -108,9 +108,7 @@ def _cmd_sparsity(args: argparse.Namespace) -> int:
     rows = []
     n = args.n
     for layer in conv_layers(args.network):
-        phase = stride1_phase(layer.shape)
-        if phase.padded_height * phase.padded_width > n:
-            phase, _ = spatial_tiles(phase, n)
+        phase, _ = spatial_tiles(stride1_phase(layer.shape), n)
         enc = Conv2dEncoder(phase, n)
         pattern = conv_weight_pattern(enc)
         sparse = sparse_fft_mults(pattern, n // 2)
@@ -161,9 +159,7 @@ def _cmd_dse(args: argparse.Namespace) -> int:
     from repro.nn import get_layer
 
     layer = get_layer(args.network, args.layer)
-    phase = stride1_phase(layer.shape)
-    if phase.padded_height * phase.padded_width > args.n:
-        phase, _ = spatial_tiles(phase, args.n)
+    phase, _ = spatial_tiles(stride1_phase(layer.shape), args.n)
     print(f"exploring layer {args.layer} ({layer.name}) "
           f"with budget {args.budget}...")
     result = explore_layer(

@@ -16,7 +16,7 @@ from repro.encoding.conv_encoding import ConvShape
 from repro.encoding.plain_eval import conv2d_via_polynomials
 from repro.fftcore.approx_pipeline import ApproxNegacyclic
 from repro.fftcore.fixed_point import ApproxFftConfig
-from repro.ntt import find_ntt_primes, get_ntt
+from repro.ntt import get_ntt, single_prime_modulus
 from repro.ntt.modmath import centered, from_centered
 
 
@@ -28,10 +28,7 @@ def ntt_polymul_factory(n: int, value_bound: int) -> Callable:
         value_bound: bound on ``|result|`` coefficients, used to size the
             working modulus so no wrap-around occurs.
     """
-    bits = max(20, min(39, (2 * value_bound + 1).bit_length() + 1))
-    if (2 * value_bound + 1) >> 38:
-        raise ValueError("results exceed the single-prime NTT range")
-    (q,) = find_ntt_primes(bits, n)
+    q = single_prime_modulus(n, value_bound)
     ntt = get_ntt(n, q)
 
     def polymul(a, w):

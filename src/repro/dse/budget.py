@@ -19,6 +19,7 @@ import numpy as np
 from repro.dse.explore import LayerDseResult, explore_layer, stride1_phase
 from repro.dse.space import DesignPoint
 from repro.encoding.conv_encoding import ConvShape
+from repro.hw.workload import spatial_tiles
 
 
 def requant_error_budget(shift: int, confidence_sigmas: float = 3.0) -> float:
@@ -111,11 +112,7 @@ def explore_network(
     plans: List[LayerPlan] = []
     cache: Dict[Tuple, LayerDseResult] = {}
     for index, (name, shape, shift) in enumerate(layers):
-        phase = stride1_phase(shape)
-        if phase.padded_height * phase.padded_width > n:
-            from repro.hw.workload import spatial_tiles
-
-            phase, _ = spatial_tiles(phase, n)
+        phase, _ = spatial_tiles(stride1_phase(shape), n)
         key = (
             phase.in_channels, phase.height, phase.width,
             phase.kernel_h, phase.kernel_w,
@@ -157,11 +154,7 @@ def uniform_fallback_plan(
 
     plans = []
     for name, shape, shift in layers:
-        phase = stride1_phase(shape)
-        if phase.padded_height * phase.padded_width > n:
-            from repro.hw.workload import spatial_tiles
-
-            phase, _ = spatial_tiles(phase, n)
+        phase, _ = spatial_tiles(stride1_phase(shape), n)
         problem = LayerDseProblem(shape=phase, n=n)
         point = problem.space.uniform_point(data_width, twiddle_k)
         power, error = problem.objective(point)

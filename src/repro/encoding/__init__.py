@@ -4,6 +4,7 @@ from repro.encoding.conv_encoding import (
     Conv2dEncoder,
     ConvShape,
     decompose_strided,
+    iter_conv_bands,
     iter_row_bands,
     iter_weight_polynomials,
     pad_input,
@@ -23,6 +24,7 @@ __all__ = [
     "conv2d_direct",
     "conv2d_via_polynomials",
     "decompose_strided",
+    "iter_conv_bands",
     "iter_row_bands",
     "iter_weight_polynomials",
     "matvec_via_polynomials",

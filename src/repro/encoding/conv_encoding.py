@@ -17,13 +17,15 @@ extremely sparse (Section III-B) -- the property FLASH's sparse dataflow
 exploits.
 
 Strides are handled by the standard phase decomposition into ``s*s``
-stride-1 convolutions (:func:`decompose_strided`).
+stride-1 convolutions (:func:`decompose_strided`), and planes larger than
+the ring by row bands (:func:`iter_row_bands`); :func:`iter_conv_bands`
+walks both for every layer evaluator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -106,10 +108,12 @@ class ConvShape:
 
 
 def pad_input(x: np.ndarray, padding: int) -> np.ndarray:
-    """Zero-pad a ``C x H x W`` tensor spatially (both shares pad with 0)."""
+    """Zero-pad the last two (spatial) axes of a ``... x C x H x W``
+    tensor (both shares pad with 0)."""
     if padding == 0:
         return x
-    return np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+    widths = [(0, 0)] * (np.ndim(x) - 2) + [(padding, padding)] * 2
+    return np.pad(x, widths)
 
 
 def iter_row_bands(
@@ -160,17 +164,18 @@ def iter_row_bands(
 
 
 def decompose_strided(shape: ConvShape) -> List[Tuple[ConvShape, int, int]]:
-    """Split a strided convolution into ``stride**2`` stride-1 phases.
+    """Split a padded, strided convolution into stride-1 phases.
 
     Returns ``(phase_shape, a, b)`` triples; phase ``(a, b)`` consumes the
-    sub-sampled input ``x_pad[:, a::s, b::s]`` and kernel ``w[:, :, a::s,
-    b::s]``.  The phase shapes already include the original padding (the
-    input must be padded *before* sub-sampling) and produce ``out_height x
-    out_width`` outputs each; summing all phases gives the strided result.
+    sub-sampled padded input ``x_pad[:, a::s, b::s]`` and kernel
+    ``w[:, :, a::s, b::s]``.  The padding is folded in for every stride:
+    phase shapes are stride-1 and padding-free over the padded input (the
+    input must be padded *before* sub-sampling), so stride 1 gives the one
+    phase ``(padded shape, 0, 0)``.  Each phase produces at least
+    ``out_height x out_width`` outputs; summing the phases' leading
+    outputs gives the strided result.
     """
     s = shape.stride
-    if s == 1:
-        return [(shape, 0, 0)]
     phases = []
     for a in range(s):
         for b in range(s):
@@ -192,6 +197,59 @@ def decompose_strided(shape: ConvShape) -> List[Tuple[ConvShape, int, int]]:
             )
             phases.append((phase, a, b))
     return phases
+
+
+class ConvBand(NamedTuple):
+    """One stride phase x row band of a convolution layer.
+
+    Attributes:
+        shape: the band's stride-1, padding-free shape.
+        inputs: ``... x C x band.height x band.width`` slice of the padded
+            input (leading batch axes kept).
+        weights: the phase kernel ``M x C x band.kernel_h x band.kernel_w``.
+        out: index of the layer-output rows and columns the band fills
+            (``total[band.out] += band.crop(y)``).
+    """
+
+    shape: ConvShape
+    inputs: np.ndarray
+    weights: np.ndarray
+    out: Tuple[object, slice, slice]
+
+    def crop(self, y: np.ndarray) -> np.ndarray:
+        """The part of a ``... x M x out_h x out_w`` band output that lands
+        in the layer output (phases may produce extra rows/columns)."""
+        rows, cols = self.out[1], self.out[2]
+        return y[..., : rows.stop - rows.start, : cols.stop]
+
+
+def iter_conv_bands(
+    shape: ConvShape, n: int, x: np.ndarray, w: np.ndarray
+) -> Iterator[ConvBand]:
+    """Walk a layer's stride phases x row bands in product order.
+
+    Args:
+        shape: the layer shape (any stride and padding).
+        n: ring degree the bands must fit.
+        x: unpadded input ``... x C x H x W`` (leading axes are batch axes,
+            carried through to every band's ``inputs``).
+        w: kernel ``M x C x kh x kw``.
+    """
+    s = shape.stride
+    xp = pad_input(x, shape.padding)
+    for phase, a, b in decompose_strided(shape):
+        x_phase = xp[..., a::s, b::s][..., : phase.height, : phase.width]
+        w_phase = w[:, :, a::s, b::s]
+        for row_start, band in iter_row_bands(phase, n):
+            stop = max(
+                row_start, min(row_start + band.out_height, shape.out_height)
+            )
+            yield ConvBand(
+                shape=band,
+                inputs=x_phase[..., row_start : row_start + band.height, :],
+                weights=w_phase,
+                out=(Ellipsis, slice(row_start, stop), slice(0, shape.out_width)),
+            )
 
 
 class Conv2dEncoder:

@@ -15,8 +15,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from repro.encoding.conv_encoding import (
     Conv2dEncoder,
     ConvShape,
-    decompose_strided,
-    iter_row_bands,
+    iter_conv_bands,
     pad_input,
 )
 from repro.ntt import negacyclic_convolution_naive
@@ -63,48 +62,21 @@ def conv2d_via_polynomials(
         ``M x out_h x out_w`` int64 output.
     """
     polymul = polymul or _default_polymul
-    x = np.asarray(x)
-    w = np.asarray(w)
-    xp = pad_input(x, shape.padding)
-    # Padding is applied exactly once, here; the per-phase encoders see a
-    # padding-free shape over the padded tensor.
-    padded_shape = ConvShape(
-        in_channels=shape.in_channels,
-        height=shape.padded_height,
-        width=shape.padded_width,
-        out_channels=shape.out_channels,
-        kernel_h=shape.kernel_h,
-        kernel_w=shape.kernel_w,
-        stride=shape.stride,
-        padding=0,
-    )
     total = np.zeros(
         (shape.out_channels, shape.out_height, shape.out_width), dtype=np.int64
     )
-    for phase, a, b in decompose_strided(padded_shape):
-        x_phase = xp[:, a :: shape.stride, b :: shape.stride]
-        w_phase = w[:, :, a :: shape.stride, b :: shape.stride]
-        # Guard against ragged sub-sampling (phase shapes are exact).
-        x_phase = x_phase[:, : phase.height, : phase.width]
-        for row_start, band in iter_row_bands(phase, n):
-            x_band = x_phase[:, row_start : row_start + band.height, :]
-            encoder = Conv2dEncoder(band, n)
-            in_polys = encoder.encode_input(x_band)
-            w_polys = encoder.encode_weights(w_phase)
-            products: Dict[Tuple[int, int], np.ndarray] = {}
-            for (tile, m), w_poly in w_polys.items():
-                if tiled_polymul is not None:
-                    products[(tile, m)] = tiled_polymul(
-                        encoder, tile, in_polys[tile], w_poly
-                    )
-                else:
-                    products[(tile, m)] = polymul(in_polys[tile], w_poly)
-            y = encoder.decode_output(products)
-            r0 = row_start
-            r1 = min(r0 + y.shape[1], shape.out_height)
-            total[:, r0:r1, : shape.out_width] += y[
-                :, : r1 - r0, : shape.out_width
-            ]
+    for band in iter_conv_bands(shape, n, np.asarray(x), np.asarray(w)):
+        encoder = Conv2dEncoder(band.shape, n)
+        in_polys = encoder.encode_input(band.inputs)
+        products: Dict[Tuple[int, int], np.ndarray] = {}
+        for (tile, m), w_poly in encoder.encode_weights(band.weights).items():
+            if tiled_polymul is not None:
+                products[(tile, m)] = tiled_polymul(
+                    encoder, tile, in_polys[tile], w_poly
+                )
+            else:
+                products[(tile, m)] = polymul(in_polys[tile], w_poly)
+        total[band.out] += band.crop(encoder.decode_output(products))
     return total
 
 

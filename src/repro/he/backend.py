@@ -25,11 +25,18 @@ from repro.fftcore.fixed_point import ApproxFftConfig
 from repro.he.poly import RingPoly
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.runtime.engine import BatchedFftBackend
+    from repro.runtime.engine import BatchedFftBackend, RuntimeStats
 
 
 class PolyMulBackend:
-    """Interface: multiply ring polynomials by signed integer weights."""
+    """Interface: multiply ring polynomials by signed integer weights.
+
+    Every backend sets ``last_stats`` in ``__init__`` and replaces it on
+    each ``multiply_many`` call: the call's weight-transform mult counts
+    and, on a cluster, its supervision counters.
+    """
+
+    last_stats: RuntimeStats
 
     def multiply_many(
         self, polys: List[RingPoly], weights_list: List[np.ndarray]

@@ -14,7 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
-from repro.encoding.conv_encoding import Conv2dEncoder, ConvShape, decompose_strided
+from repro.encoding.conv_encoding import (
+    Conv2dEncoder,
+    ConvShape,
+    decompose_strided,
+    iter_row_bands,
+)
 from repro.encoding.linear_encoding import LinearEncoder, LinearShape
 from repro.sparse.opcount import dense_fft_mults, sparse_fft_mults
 from repro.sparse.patterns import conv_weight_pattern
@@ -65,35 +70,14 @@ class LayerWorkload:
 
 
 def spatial_tiles(shape: ConvShape, n: int) -> Tuple[ConvShape, int]:
-    """Split a stride-1 shape whose channel plane exceeds ``n`` into row bands.
+    """Representative row band and band count of a stride-1, pre-padded
+    shape (:func:`repro.encoding.conv_encoding.iter_row_bands`).
 
-    Returns a representative band shape and the band count; bands overlap by
-    ``kernel_h - 1`` rows so every output row is produced exactly once.
+    Bands overlap by ``kernel_h - 1`` rows so every output row is produced
+    exactly once; the first band is the full-height one.
     """
-    if shape.stride != 1 or shape.padding != 0:
-        raise ValueError("spatial tiling expects stride-1, pre-padded shapes")
-    plane = shape.height * shape.width
-    if plane <= n:
-        return shape, 1
-    if shape.width > n:
-        raise ValueError(f"one row ({shape.width}) exceeds the ring degree {n}")
-    rows = n // shape.width
-    if rows < shape.kernel_h:
-        raise ValueError("ring too small for the kernel height")
-    effective = rows - (shape.kernel_h - 1)
-    out_rows = shape.height - shape.kernel_h + 1
-    count = -(-out_rows // effective)
-    band = ConvShape(
-        in_channels=shape.in_channels,
-        height=rows,
-        width=shape.width,
-        out_channels=shape.out_channels,
-        kernel_h=shape.kernel_h,
-        kernel_w=shape.kernel_w,
-        stride=1,
-        padding=0,
-    )
-    return band, count
+    bands = iter_row_bands(shape, n)
+    return bands[0][1], len(bands)
 
 
 def conv_layer_workload(
@@ -109,18 +93,8 @@ def conv_layer_workload(
             per returned ciphertext / inverse transform (Cheetah-style);
             disable to model one inverse per output channel.
     """
-    padded = ConvShape(
-        in_channels=shape.in_channels,
-        height=shape.padded_height,
-        width=shape.padded_width,
-        out_channels=shape.out_channels,
-        kernel_h=shape.kernel_h,
-        kernel_w=shape.kernel_w,
-        stride=shape.stride,
-        padding=0,
-    )
     total = LayerWorkload(name=name, weight_mults_dense=dense_fft_mults(n // 2))
-    for phase, _, _ in decompose_strided(padded):
+    for phase, _, _ in decompose_strided(shape):
         band, band_count = spatial_tiles(phase, n)
         enc = Conv2dEncoder(band, n)
         counts = enc.transforms_per_hconv()

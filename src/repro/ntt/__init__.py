@@ -16,6 +16,7 @@ from repro.ntt.modmath import (
     powmod,
     primitive_root,
     root_of_unity,
+    single_prime_modulus,
     submod,
 )
 from repro.ntt.ntt import (
@@ -47,5 +48,6 @@ __all__ = [
     "powmod",
     "primitive_root",
     "root_of_unity",
+    "single_prime_modulus",
     "submod",
 ]

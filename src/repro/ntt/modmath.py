@@ -211,6 +211,23 @@ def find_ntt_primes(bits: int, n: int, count: int = 1) -> list:
     return primes
 
 
+def single_prime_modulus(n: int, value_bound: int) -> int:
+    """One NTT prime wide enough to hold products bounded by ``value_bound``.
+
+    The working modulus of the exact clear-domain convolutions: results
+    with ``|r| <= value_bound`` are recovered without wrap-around from
+    their centered residues.  Widths run from 20 to 39 bits.
+
+    Raises:
+        ValueError: if ``2 * value_bound + 1`` needs more than 38 bits.
+    """
+    bits = max(20, min(39, (2 * value_bound + 1).bit_length() + 1))
+    if (2 * value_bound + 1) >> 38:
+        raise ValueError("results exceed the single-prime NTT range")
+    (q,) = find_ntt_primes(bits, n)
+    return q
+
+
 def primitive_root(q: int) -> int:
     """Smallest primitive root modulo prime ``q``."""
     if not is_prime(q):

@@ -8,8 +8,12 @@ ciphertexts; the client decrypts to obtain the other output share:
     server computes  (Enc({x}^C) boxplus {x}^S) boxtimes w  boxminus s
     client holds     {y}^C = y - s
 
-Both convolution and fully-connected layers are provided; the polynomial
-multiplication backend is pluggable (exact NTT vs FLASH's approximate FFT).
+Convolution and fully-connected layers run the same round
+(``_ResilientProtocolMixin._he_round``) and both take batches: a conv
+layer is one round per stride phase x row band, an FC layer one round,
+each covering every item of the batch with one ``multiply_many`` call.
+The polynomial multiplication backend is pluggable (exact NTT vs FLASH's
+approximate FFT).
 """
 
 from __future__ import annotations
@@ -19,13 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.encoding.conv_encoding import (
-    Conv2dEncoder,
-    ConvShape,
-    decompose_strided,
-    iter_row_bands,
-    pad_input,
-)
+from repro.encoding.conv_encoding import Conv2dEncoder, iter_conv_bands
 from repro.encoding.linear_encoding import LinearEncoder
 from repro.he.backend import PolyMulBackend
 from repro.he.bfv import BfvContext, Ciphertext
@@ -132,13 +130,17 @@ class _PartyPair:
 
 
 class _ResilientProtocolMixin:
-    """Construction, transport routing and the budget-guarded run shared
-    by the protocols.
+    """The one-round protocol shared by conv and FC layers: construction,
+    transport routing, the budget-guarded batch run and the HE round.
 
     A concrete protocol sets ``layer_name`` (default label), ``_span``
-    (trace span of one guarded run) and ``num_accumulated`` (products
-    summed per output, for the guard's noise prediction), and implements
-    ``_run_once(x, w, rng, party) -> List[ProtocolResult]``.
+    (trace span of one guarded run), ``num_accumulated`` (products summed
+    per output, for the guard's noise prediction) and ``_item_ndim`` (axes
+    of one input), and implements ``_expected(x, w)`` (the plaintext
+    result of one item), ``_output_keys(keys)`` (which weight keys each
+    returned ciphertext sums) and ``_evaluate(party, clients,
+    servers, w, rng, stats)`` (the layer's HE rounds over the signed input
+    shares, returning the client and server output shares per item).
 
     Args:
         params: BFV parameters; ``t`` must be a power of two.
@@ -182,6 +184,175 @@ class _ResilientProtocolMixin:
             transport=self.transport,
             layer_name=self.layer_name,
         )
+
+    def run(
+        self,
+        x: np.ndarray,
+        w: np.ndarray,
+        rng: np.random.Generator,
+        session: Optional[_PartyPair] = None,
+    ) -> ProtocolResult:
+        """Evaluate the layer on one input and verify against plaintext.
+
+        A batch of one: :meth:`run_batch` on ``x[None]``, with the same
+        randomness order and budget-guard behaviour.
+
+        Args:
+            x: clear activation (signed ints); it is secret-shared
+                internally before the protocol starts.
+            w: server weights (signed ints).
+            rng: randomness for keys, shares and masks.
+            session: optional pre-generated key material (reuse across
+                layers).
+        """
+        return self.run_batch(np.asarray(x)[None], w, rng, session=session)[0]
+
+    def run_batch(
+        self,
+        xs: np.ndarray,
+        w: np.ndarray,
+        rng: np.random.Generator,
+        session: Optional[_PartyPair] = None,
+    ) -> List[ProtocolResult]:
+        """Evaluate the layer privately for a whole batch of inputs.
+
+        Every item is secret-shared first; then each HE round encrypts
+        every item's input polynomials and sends all homomorphic plaintext
+        products of the round (items x products x 2 ciphertext components)
+        through one ``backend.multiply_many`` call, so the weight
+        encodings and spectra are computed once for the batch.
+
+        Args:
+            xs: clear activations stacked on a leading batch axis (a
+                single unstacked item is a batch of one).
+            w: server weights.
+            rng: randomness for keys, shares and masks.
+            session: optional pre-generated key material.
+
+        Returns:
+            one :class:`ProtocolResult` per batch item, in order.
+        """
+        return self._run_guarded(xs, w, rng, session)
+
+    def _run_once(
+        self,
+        xs: np.ndarray,
+        w: np.ndarray,
+        rng: np.random.Generator,
+        party: _PartyPair,
+    ) -> List[ProtocolResult]:
+        ring = party.ring
+        xs = np.asarray(xs, dtype=np.int64)
+        if xs.ndim == self._item_ndim:
+            xs = xs[None]
+        w = np.asarray(w, dtype=np.int64)
+        expected = [self._expected(x, w) for x in xs]
+        if not all(ring.fits_signed(e) for e in expected):
+            raise ValueError(
+                f"{self.layer_name} output overflows the sharing ring; "
+                "increase the plaintext modulus"
+            )
+        shares = [ring.share(x, rng) for x in xs]
+        clients = np.stack([ring.to_signed(c) for c, _ in shares])
+        servers = np.stack([ring.to_signed(v) for _, v in shares])
+        stats = [ProtocolStats() for _ in xs]
+        y_clients, y_servers = self._evaluate(
+            party, clients, servers, w, rng, stats
+        )
+        return [
+            ProtocolResult(
+                client_share=yc,
+                server_share=yv,
+                reconstructed=ring.reconstruct(yc, yv),
+                expected=e,
+                stats=st,
+            )
+            for yc, yv, e, st in zip(y_clients, y_servers, expected, stats)
+        ]
+
+    def _he_round(
+        self,
+        party: _PartyPair,
+        enc,
+        clients: np.ndarray,
+        servers: np.ndarray,
+        w: np.ndarray,
+        rng: np.random.Generator,
+        stats: List[ProtocolStats],
+    ) -> List[Tuple[Dict, Dict]]:
+        """One encrypt -> multiply -> mask -> decrypt round over a batch.
+
+        The client encrypts each item's input polynomials and sends them;
+        the server adds its share, runs every product of every item
+        through one ``multiply_many`` call, sums each output's products,
+        subtracts a fresh mask per output and returns the ciphertexts,
+        which the client decrypts.  Products follow the keys of
+        ``enc.encode_weights(w)``, whose first element is the input
+        polynomial they multiply; ``_output_keys`` groups them into the
+        returned ciphertexts.
+
+        Returns:
+            per item, the decrypted client messages and the server masks,
+            each keyed by output.
+        """
+        ctx, ring = party.ctx, party.ring
+        t = self.params.t
+        ct_bytes = ciphertext_bytes(self.params)
+        w_polys = enc.encode_weights(w)  # shared by the whole batch
+        outputs = self._output_keys(w_polys)
+
+        # Client side: encrypt every item's input polynomials.
+        inputs: List[List[Ciphertext]] = []
+        for item, st in enumerate(stats):
+            cts = [
+                ctx.encrypt_symmetric(party.sk, poly % t, rng)
+                for poly in enc.encode_input(clients[item])
+            ]
+            st.ciphertexts_sent += len(cts)
+            st.bytes_sent += len(cts) * ct_bytes
+            st.input_transforms += len(cts)
+            st.weight_transforms += len(w_polys)
+            st.inverse_transforms += len(outputs)
+            # Client -> server hop (resilient transport when configured).
+            cts = [self._transfer_ct(ct, st) for ct in cts]
+            server_polys = enc.encode_input(servers[item])
+            inputs.append(
+                [
+                    ctx.add_plain(ct, server_polys[i] % t)
+                    for i, ct in enumerate(cts)
+                ]
+            )
+
+        # Server side: every (item, product) in one batched call.
+        polys, weights = [], []
+        for cts in inputs:
+            for keys in outputs.values():
+                for key in keys:
+                    polys.extend((cts[key[0]].c0, cts[key[0]].c1))
+                    weights.extend((w_polys[key],) * 2)
+        outs = iter(self.backend.multiply_many(polys, weights))
+        self._absorb_backend_mults(*stats)
+
+        results = []
+        for st in stats:
+            messages, masks = {}, {}
+            for label, keys in outputs.items():
+                acc = Ciphertext(next(outs), next(outs))
+                for _ in keys[1:]:
+                    acc = ctx.add(acc, Ciphertext(next(outs), next(outs)))
+                mask = ring.random(self.params.n, rng)
+                ct_out = ctx.sub_plain(acc, mask)
+                st.ciphertexts_returned += 1
+                st.bytes_received += ct_bytes
+                # Server -> client hop.
+                ct_out = self._transfer_ct(ct_out, st)
+                messages[label], budget = ctx.decrypt_with_budget(
+                    party.sk, ct_out
+                )
+                st.min_noise_budget = min(st.min_noise_budget, budget)
+                masks[label] = mask
+            results.append((messages, masks))
+        return results
 
     def _run_guarded(
         self,
@@ -263,16 +434,12 @@ class _ResilientProtocolMixin:
         -- like ``weight_transforms`` -- each item of a batch is charged
         the full shared-transform count.
         """
-        last = getattr(self.backend, "last_stats", None)
-        if last is None:
-            return
-        cluster = getattr(last, "cluster", None) or {}
+        last = self.backend.last_stats
+        cluster = last.cluster
         for st in stats:
-            st.weight_mults_realized += getattr(
-                last, "weight_mults_realized", 0
-            )
-            st.weight_mults_dense += getattr(last, "weight_mults_dense", 0)
-            st.weight_mults_model += getattr(last, "weight_mults_model", 0)
+            st.weight_mults_realized += last.weight_mults_realized
+            st.weight_mults_dense += last.weight_mults_dense
+            st.weight_mults_model += last.weight_mults_model
             st.cluster_dispatches += int(cluster.get("dispatches", 0))
             st.cluster_worker_deaths += int(cluster.get("worker_deaths", 0))
             st.cluster_jobs_requeued += int(cluster.get("jobs_requeued", 0))
@@ -286,349 +453,102 @@ class HybridConvProtocol(_ResilientProtocolMixin):
     """Private convolution via coefficient-encoded BFV (Cheetah-style).
 
     Constructor arguments are those of :class:`_ResilientProtocolMixin`;
-    ``shape`` is the :class:`ConvShape` (stride/padding supported).
+    ``shape`` is the :class:`ConvShape` (stride/padding supported) and one
+    input is ``C x H x W``.  Each stride phase x row band is one HE round
+    (span ``protocol.phase_batch``) whose channel tiles are summed per
+    output channel.
     """
 
     layer_name = "conv"
     _span = "protocol.conv_batch"
+    _item_ndim = 3
 
     @property
     def num_accumulated(self) -> int:
         return self.shape.in_channels
 
-    def run(
-        self,
-        x: np.ndarray,
-        w: np.ndarray,
-        rng: np.random.Generator,
-        session: Optional[_PartyPair] = None,
-    ) -> ProtocolResult:
-        """Evaluate ``conv(x, w)`` privately and verify against plaintext.
-
-        A batch of one: :meth:`run_batch` on the ``C x H x W`` input, with
-        the same randomness order and budget-guard behaviour.
-
-        Args:
-            x: clear activation tensor ``C x H x W`` (signed ints); it is
-                secret-shared internally before the protocol starts.
-            w: server weights ``M x C x kh x kw`` (signed ints).
-            rng: randomness for keys, shares and masks.
-            session: optional pre-generated key material (reuse across
-                layers).
-        """
-        return self.run_batch(x, w, rng, session=session)[0]
-
-    def run_batch(
-        self,
-        xs: np.ndarray,
-        w: np.ndarray,
-        rng: np.random.Generator,
-        session: Optional[_PartyPair] = None,
-    ) -> List[ProtocolResult]:
-        """Evaluate ``conv(x_i, w)`` privately for a whole batch of inputs.
-
-        Every phase/band builds its encoder and weight polynomials once for
-        the whole batch, and all homomorphic plaintext products of a band
-        (items x channels x tiles x 2 ciphertext components) go through
-        one ``backend.multiply_many`` call, so the transform work is
-        batched and the weight spectra are computed once.
-
-        Args:
-            xs: clear activations ``B x C x H x W`` (or ``C x H x W``).
-            w: server weights ``M x C x kh x kw``.
-            rng: randomness for keys, shares and masks.
-            session: optional pre-generated key material.
-
-        Returns:
-            one :class:`ProtocolResult` per batch item, in order.
-        """
-        return self._run_guarded(xs, w, rng, session)
-
-    def _run_once(
-        self,
-        xs: np.ndarray,
-        w: np.ndarray,
-        rng: np.random.Generator,
-        party: _PartyPair,
-    ) -> List[ProtocolResult]:
+    def _expected(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         from repro.encoding.plain_eval import conv2d_direct
 
-        ring = party.ring
-
-        xs = np.asarray(xs, dtype=np.int64)
-        if xs.ndim == 3:
-            xs = xs[None]
-        w = np.asarray(w, dtype=np.int64)
-        batch = xs.shape[0]
-        stats = [ProtocolStats() for _ in range(batch)]
-        expected = [
-            conv2d_direct(x, w, stride=self.shape.stride, padding=self.shape.padding)
-            for x in xs
-        ]
-        for e in expected:
-            if not ring.fits_signed(e):
-                raise ValueError(
-                    "convolution output overflows the sharing ring; "
-                    "increase the plaintext modulus"
-                )
-
-        shares = [ring.share(x, rng) for x in xs]
-        xc_pads = [
-            pad_input(ring.to_signed(c), self.shape.padding) for c, _ in shares
-        ]
-        xs_pads = [
-            pad_input(ring.to_signed(sv), self.shape.padding) for _, sv in shares
-        ]
-
-        padded_shape = ConvShape(
-            in_channels=self.shape.in_channels,
-            height=self.shape.padded_height,
-            width=self.shape.padded_width,
-            out_channels=self.shape.out_channels,
-            kernel_h=self.shape.kernel_h,
-            kernel_w=self.shape.kernel_w,
-            stride=self.shape.stride,
-            padding=0,
+        return conv2d_direct(
+            x, w, stride=self.shape.stride, padding=self.shape.padding
         )
 
-        y_clients = [np.zeros_like(e) for e in expected]
-        y_servers = [np.zeros_like(e) for e in expected]
-        oh, ow = expected[0].shape[1], expected[0].shape[2]
-        s = self.shape.stride
-        for phase, a, b in decompose_strided(padded_shape):
-            xc_phase = [
-                xp[:, a::s, b::s][:, : phase.height, : phase.width]
-                for xp in xc_pads
-            ]
-            xs_phase = [
-                xp[:, a::s, b::s][:, : phase.height, : phase.width]
-                for xp in xs_pads
-            ]
-            w_phase = w[:, :, a::s, b::s]
-            for row_start, band in iter_row_bands(phase, self.params.n):
-                enc = Conv2dEncoder(band, self.params.n)
-                rows = slice(row_start, row_start + band.height)
-                ys = self._run_phase_batch(
-                    party, enc,
-                    [xc[:, rows, :] for xc in xc_phase],
-                    [xv[:, rows, :] for xv in xs_phase],
-                    w_phase, rng, stats,
+    @staticmethod
+    def _output_keys(keys) -> Dict[int, List]:
+        """One output per channel ``m``, summing its ``(tile, m)`` tiles."""
+        groups: Dict[int, List] = {}
+        for tile, m in keys:
+            groups.setdefault(m, []).append((tile, m))
+        return groups
+
+    def _evaluate(self, party, clients, servers, w, rng, stats):
+        ring, n = party.ring, self.params.n
+        s = self.shape
+        y_clients = np.zeros(
+            (len(stats), s.out_channels, s.out_height, s.out_width),
+            dtype=np.int64,
+        )
+        y_servers = np.zeros_like(y_clients)
+        for band in iter_conv_bands(s, n, np.stack([clients, servers]), w):
+            enc = Conv2dEncoder(band.shape, n)
+            with obs_trace.tracer.span("protocol.phase_batch"):
+                rounds = self._he_round(
+                    party, enc, band.inputs[0], band.inputs[1],
+                    band.weights, rng, stats,
                 )
-                for item, (yc, yv) in enumerate(ys):
-                    r1 = min(row_start + yc.shape[1], oh)
-                    pad_rows = r1 - row_start
-                    if pad_rows <= 0:
-                        continue
-                    yc_full = np.zeros_like(y_clients[item])
-                    ys_full = np.zeros_like(y_servers[item])
-                    yc_full[:, row_start:r1, :ow] = yc[:, :pad_rows, :ow]
-                    ys_full[:, row_start:r1, :ow] = yv[:, :pad_rows, :ow]
-                    y_clients[item] = ring.add(y_clients[item], yc_full)
-                    y_servers[item] = ring.add(y_servers[item], ys_full)
-
-        return [
-            ProtocolResult(
-                client_share=y_clients[item],
-                server_share=y_servers[item],
-                reconstructed=ring.reconstruct(y_clients[item], y_servers[item]),
-                expected=expected[item],
-                stats=stats[item],
-            )
-            for item in range(batch)
-        ]
-
-    @obs_trace.traced("protocol.phase_batch")
-    def _run_phase_batch(
-        self,
-        party: _PartyPair,
-        enc: Conv2dEncoder,
-        xc_items: List[np.ndarray],
-        xs_items: List[np.ndarray],
-        w: np.ndarray,
-        rng: np.random.Generator,
-        stats: List[ProtocolStats],
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        ctx, ring = party.ctx, party.ring
-        t = self.params.t
-        batch = len(xc_items)
-
-        w_polys = enc.encode_weights(w)  # shared by the whole batch
-        counts = enc.transforms_per_hconv()
-
-        # Client side: encrypt every item's tiles (same rng order as
-        # serial runs of the same item list).
-        all_full_cts: List[List[Ciphertext]] = []
-        for item in range(batch):
-            client_polys = enc.encode_input(xc_items[item])
-            cts = [
-                ctx.encrypt_symmetric(party.sk, poly % t, rng)
-                for poly in client_polys
-            ]
-            stats[item].ciphertexts_sent += len(cts)
-            stats[item].bytes_sent += len(cts) * ciphertext_bytes(self.params)
-            stats[item].input_transforms += len(cts)
-            stats[item].weight_transforms += counts["weight_forward"]
-            stats[item].inverse_transforms += counts["inverse"]
-            # Client -> server hop (resilient transport when configured).
-            cts = [self._transfer_ct(ct, stats[item]) for ct in cts]
-            server_polys = enc.encode_input(xs_items[item])
-            all_full_cts.append(
-                [
-                    ctx.add_plain(ct, server_polys[tile] % t)
-                    for tile, ct in enumerate(cts)
+                # Per item: the client's and the server's channel planes.
+                planes = [
+                    [
+                        np.stack([
+                            ring.reduce(enc.extract_output(poly))
+                            for poly in polys.values()
+                        ])
+                        for polys in item
+                    ]
+                    for item in rounds
                 ]
-            )
-
-        # Server side: every (item, channel, tile) product in one batch.
-        out_channels = enc.shape.out_channels
-        tiles = len(all_full_cts[0])
-        pairs = [(m, tile) for m in range(out_channels) for tile in range(tiles)]
-        polys, weights = [], []
-        for item in range(batch):
-            for m, tile in pairs:
-                w_poly = w_polys[(tile, m)]
-                polys.extend(
-                    (all_full_cts[item][tile].c0, all_full_cts[item][tile].c1)
-                )
-                weights.extend((w_poly, w_poly))
-        outs = self.backend.multiply_many(polys, weights)
-        self._absorb_backend_mults(*stats)
-        products: Dict[Tuple[int, int, int], Ciphertext] = {}
-        for item in range(batch):
-            for i, (m, tile) in enumerate(pairs):
-                k = 2 * (item * len(pairs) + i)
-                products[(item, m, tile)] = Ciphertext(outs[k], outs[k + 1])
-
-        results: List[Tuple[np.ndarray, np.ndarray]] = []
-        oh, ow = enc.shape.out_height, enc.shape.out_width
-        for item in range(batch):
-            y_client = np.zeros((out_channels, oh, ow), dtype=np.int64)
-            y_server = np.zeros_like(y_client)
-            for m in range(out_channels):
-                acc = None
-                for tile in range(tiles):
-                    prod = products[(item, m, tile)]
-                    acc = prod if acc is None else ctx.add(acc, prod)
-                r = ring.random(self.params.n, rng)
-                ct_out = ctx.sub_plain(acc, r)
-                stats[item].ciphertexts_returned += 1
-                stats[item].bytes_received += ciphertext_bytes(self.params)
-                # Server -> client hop.
-                ct_out = self._transfer_ct(ct_out, stats[item])
-                message, budget = ctx.decrypt_with_budget(party.sk, ct_out)
-                stats[item].min_noise_budget = min(
-                    stats[item].min_noise_budget, budget
-                )
-                y_client[m] = ring.reduce(enc.extract_output(message))
-                y_server[m] = ring.reduce(enc.extract_output(r))
-            results.append((y_client, y_server))
-        return results
+            rows = band.out[1]
+            if rows.start == rows.stop:
+                continue  # only surplus phase rows: nothing lands in y
+            for item, shares in enumerate(planes):
+                for y, plane in zip((y_clients, y_servers), shares):
+                    y[item][band.out] = ring.add(
+                        y[item][band.out], band.crop(plane)
+                    )
+        return y_clients, y_servers
 
 
 class HybridLinearProtocol(_ResilientProtocolMixin):
     """Private fully-connected layer ``y = W @ x`` (same one-round flow).
 
     Constructor arguments are those of :class:`_ResilientProtocolMixin`;
-    ``shape`` is the :class:`repro.encoding.linear_encoding.LinearShape`.
+    ``shape`` is the :class:`repro.encoding.linear_encoding.LinearShape`
+    and one input is an ``in_features`` vector.  The layer is one HE round
+    returning one ciphertext per ``(chunk, row group)`` product.
     """
 
     layer_name = "linear"
     _span = "protocol.linear"
+    _item_ndim = 1
     num_accumulated = 1
 
-    def run(
-        self,
-        x: np.ndarray,
-        w: np.ndarray,
-        rng: np.random.Generator,
-        session: Optional[_PartyPair] = None,
-    ) -> ProtocolResult:
-        return self._run_guarded(x, w, rng, session)[0]
+    @staticmethod
+    def _expected(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return (w @ x).astype(np.int64)
 
-    def _run_once(
-        self,
-        x: np.ndarray,
-        w: np.ndarray,
-        rng: np.random.Generator,
-        party: _PartyPair,
-    ) -> List[ProtocolResult]:
-        ring, ctx = party.ring, party.ctx
-        stats = ProtocolStats()
-        t = self.params.t
+    @staticmethod
+    def _output_keys(keys) -> Dict[Tuple, List]:
+        """One output per ``(chunk, group)`` product."""
+        return {key: [key] for key in keys}
 
-        x = np.asarray(x, dtype=np.int64)
-        w = np.asarray(w, dtype=np.int64)
-        expected = (w @ x).astype(np.int64)
-        if not ring.fits_signed(expected):
-            raise ValueError("matvec output overflows the sharing ring")
-
-        x_client, x_server = ring.share(x, rng)
+    def _evaluate(self, party, clients, servers, w, rng, stats):
+        ring = party.ring
         enc = LinearEncoder(self.shape, self.params.n)
-
-        client_polys = enc.encode_input(ring.to_signed(x_client))
-        server_polys = enc.encode_input(ring.to_signed(x_server))
-        w_polys = enc.encode_weights(w)
-        counts = enc.transforms_per_matvec()
-        stats.weight_transforms += counts["weight_forward"]
-        stats.inverse_transforms += counts["inverse"]
-
-        cts = [
-            ctx.encrypt_symmetric(party.sk, poly % t, rng)
-            for poly in client_polys
-        ]
-        stats.ciphertexts_sent += len(cts)
-        stats.bytes_sent += len(cts) * ciphertext_bytes(self.params)
-        stats.input_transforms += len(cts)
-        # Client -> server hop (resilient transport when configured).
-        cts = [self._transfer_ct(ct, stats) for ct in cts]
-
-        # Server: every (chunk, group) product in one batched call, then
-        # one fresh mask per product, drawn in (chunk, group) order.
-        keys = [
-            (chunk, group)
-            for chunk in range(len(cts))
-            for group in range(enc.num_row_groups)
-        ]
-        full = [
-            ctx.add_plain(ct, server_polys[chunk] % t)
-            for chunk, ct in enumerate(cts)
-        ]
-        polys, weights = [], []
-        for chunk, group in keys:
-            polys.extend((full[chunk].c0, full[chunk].c1))
-            weights.extend((w_polys[(chunk, group)],) * 2)
-        outs = self.backend.multiply_many(polys, weights)
-        self._absorb_backend_mults(stats)
-        masked = {}
-        masks = {}
-        for i, key in enumerate(keys):
-            r = ring.random(self.params.n, rng)
-            masked[key] = ctx.sub_plain(
-                Ciphertext(outs[2 * i], outs[2 * i + 1]), r
-            )
-            masks[key] = r
-        stats.ciphertexts_returned += len(masked)
-        stats.bytes_received += len(masked) * ciphertext_bytes(self.params)
-
-        client_products = {}
-        for key, ct_out in masked.items():
-            # Server -> client hop.
-            ct_out = self._transfer_ct(ct_out, stats)
-            message, budget = ctx.decrypt_with_budget(party.sk, ct_out)
-            stats.min_noise_budget = min(stats.min_noise_budget, budget)
-            client_products[key] = message
-        y_client = ring.reduce(enc.decode_output(client_products))
-        y_server = ring.reduce(enc.decode_output(masks))
-
-        return [
-            ProtocolResult(
-                client_share=y_client,
-                server_share=y_server,
-                reconstructed=ring.reconstruct(y_client, y_server),
-                expected=expected,
-                stats=stats,
-            )
-        ]
+        rounds = self._he_round(party, enc, clients, servers, w, rng, stats)
+        y_clients = [ring.reduce(enc.decode_output(m)) for m, _ in rounds]
+        y_servers = [ring.reduce(enc.decode_output(r)) for _, r in rounds]
+        return y_clients, y_servers
 
 
 def make_session(params: BfvParameters, rng: np.random.Generator) -> _PartyPair:

@@ -133,12 +133,12 @@ class PrivateCnnEvaluator:
     ) -> List[PrivateInferenceTrace]:
         """Privately classify a batch of float images in one pass.
 
-        Convolution layers run through
-        :meth:`repro.protocol.hybrid.HybridConvProtocol.run_batch`, so
-        weight encodings are shared across the batch and all transform
-        work executes in vectorized batch passes.  Non-linear layers
-        (residual joins included) apply to the whole activation stack at
-        once.
+        Convolution and fully-connected layers run through the protocols'
+        ``run_batch`` (one HE round per conv band / FC layer for the whole
+        batch), so weight encodings are shared across the batch and all
+        transform work executes in vectorized batch passes.  Non-linear
+        layers (residual joins included) apply to the whole activation
+        stack at once.
         """
         session = make_session(self.params, rng)
         images = np.asarray(images)
@@ -150,23 +150,11 @@ class PrivateCnnEvaluator:
         layer_stats: List[List[ProtocolStats]] = [[] for _ in images]
         skip_stack: List[np.ndarray] = []
         for op in self.net.ops:
-            if op[0] == "conv":
+            if op[0] in ("conv", "linear"):
                 spec = op[1]
-                m, c, kh, kw = spec.weight_q.shape
-                shape = ConvShape(
-                    in_channels=c,
-                    height=x.shape[2],
-                    width=x.shape[3],
-                    out_channels=m,
-                    kernel_h=kh,
-                    kernel_w=kw,
-                    stride=spec.stride,
-                    padding=spec.padding,
-                )
-                protocol = HybridConvProtocol(
-                    self.params, shape, self.backend,
-                    transport=self.transport, guard=self.guard,
-                    layer_name=f"layer{len(layer_stats[0])}:conv",
+                protocol = self._protocol(
+                    op[0], spec, x.shape,
+                    f"layer{len(layer_stats[0])}:{op[0]}",
                 )
                 results = protocol.run_batch(
                     x, spec.weight_q, rng, session=session
@@ -180,28 +168,6 @@ class PrivateCnnEvaluator:
                     ]
                 )
                 x = requantize_shift(sp, spec.requant_shift, spec.act_bits)
-            elif op[0] == "linear":
-                spec = op[1]
-                shape = LinearShape(
-                    in_features=spec.weight_q.shape[1],
-                    out_features=spec.weight_q.shape[0],
-                )
-                protocol = HybridLinearProtocol(
-                    self.params, shape, self.backend,
-                    transport=self.transport, guard=self.guard,
-                    layer_name=f"layer{len(layer_stats[0])}:linear",
-                )
-                outs = []
-                for item in range(len(x)):
-                    result = protocol.run(
-                        x[item], spec.weight_q, rng, session=session
-                    )
-                    layer_stats[item].append(result.stats)
-                    sp = self.net._add_bias(result.reconstructed, spec)
-                    outs.append(
-                        requantize_shift(sp, spec.requant_shift, spec.act_bits)
-                    )
-                x = np.stack(outs)
             elif op[0] == "res_push":
                 skip_stack.append(x.copy())
             elif op[0] == "res_add":
@@ -219,6 +185,34 @@ class PrivateCnnEvaluator:
             )
             for item in range(len(images))
         ]
+
+    def _protocol(self, kind: str, spec, batch_shape, layer_name: str):
+        """The hybrid protocol of one compute layer over a ``batch_shape``
+        activation stack."""
+        if kind == "conv":
+            m, c, kh, kw = spec.weight_q.shape
+            shape = ConvShape(
+                in_channels=c,
+                height=batch_shape[2],
+                width=batch_shape[3],
+                out_channels=m,
+                kernel_h=kh,
+                kernel_w=kw,
+                stride=spec.stride,
+                padding=spec.padding,
+            )
+            protocol = HybridConvProtocol
+        else:
+            shape = LinearShape(
+                in_features=spec.weight_q.shape[1],
+                out_features=spec.weight_q.shape[0],
+            )
+            protocol = HybridLinearProtocol
+        return protocol(
+            self.params, shape, self.backend,
+            transport=self.transport, guard=self.guard,
+            layer_name=layer_name,
+        )
 
     def accuracy(
         self,

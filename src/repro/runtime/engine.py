@@ -29,16 +29,15 @@ import numpy as np
 
 from repro.encoding.conv_encoding import (
     Conv2dEncoder,
+    ConvBand,
     ConvShape,
-    decompose_strided,
-    iter_row_bands,
-    pad_input,
+    iter_conv_bands,
 )
 from repro.fftcore.approx_pipeline import ApproxNegacyclic, ApproxSpectrum
 from repro.fftcore.fixed_point import ApproxFftConfig
 from repro.he.backend import PolyMulBackend
 from repro.he.poly import RingPoly
-from repro.ntt import find_ntt_primes, get_ntt
+from repro.ntt import get_ntt, single_prime_modulus
 from repro.ntt.modmath import centered, from_centered, mulmod
 from repro.obs import trace as obs_trace
 from repro.runtime.plan_cache import PlanCache, approx_config_key
@@ -440,14 +439,6 @@ class BatchedHConvEngine:
             stats.charge_weight_mults(mults)
         return np.concatenate(rows)
 
-    @staticmethod
-    def _modulus_for(n: int, value_bound: int) -> int:
-        bits = max(20, min(39, (2 * value_bound + 1).bit_length() + 1))
-        if (2 * value_bound + 1) >> 38:
-            raise ValueError("results exceed the single-prime NTT range")
-        (q,) = find_ntt_primes(bits, n)
-        return q
-
     # -- batched convolution --------------------------------------------
 
     @obs_trace.traced("runtime.conv2d_batch")
@@ -488,31 +479,12 @@ class BatchedHConvEngine:
         stats.batch = batch
 
         bound = int(np.abs(w).sum() * max(1, int(np.abs(xs).max() if xs.size else 1)))
-        xp = np.stack([pad_input(x, shape.padding) for x in xs])
-        padded_shape = ConvShape(
-            in_channels=shape.in_channels,
-            height=shape.padded_height,
-            width=shape.padded_width,
-            out_channels=shape.out_channels,
-            kernel_h=shape.kernel_h,
-            kernel_w=shape.kernel_w,
-            stride=shape.stride,
-            padding=0,
-        )
         total = np.zeros(
             (batch, shape.out_channels, shape.out_height, shape.out_width),
             dtype=np.int64,
         )
-        s = shape.stride
-        for phase, a, b in decompose_strided(padded_shape):
-            x_phase = xp[:, :, a::s, b::s][:, :, : phase.height, : phase.width]
-            w_phase = w[:, :, a::s, b::s]
-            for row_start, band in iter_row_bands(phase, n):
-                x_band = x_phase[:, :, row_start : row_start + band.height, :]
-                self._run_band(
-                    x_band, w_phase, band, n, bound, shape, row_start,
-                    total, stats,
-                )
+        for band in iter_conv_bands(shape, n, xs, w):
+            self._run_band(band, n, bound, total, stats)
         stats.cache = self.plan_cache.stats()
         self.last_stats = stats
         return total
@@ -543,29 +515,25 @@ class BatchedHConvEngine:
 
     def _run_band(
         self,
-        x_band: np.ndarray,
-        w_phase: np.ndarray,
-        band: ConvShape,
+        band: ConvBand,
         n: int,
         bound: int,
-        shape: ConvShape,
-        row_start: int,
         total: np.ndarray,
         stats: RuntimeStats,
     ) -> None:
-        batch = x_band.shape[0]
+        batch = band.inputs.shape[0]
         with _Timer(stats, "encode"):
-            enc = Conv2dEncoder(band, n)
+            enc = Conv2dEncoder(band.shape, n)
             in_rows = []
             for item in range(batch):
-                in_rows.extend(enc.encode_input(x_band[item]))
+                in_rows.extend(enc.encode_input(band.inputs[item]))
             tiles = len(in_rows) // batch
             a_stack = np.stack(in_rows)  # (B * tiles, n)
-            w_polys = enc.encode_weights(w_phase)
+            w_polys = enc.encode_weights(band.weights)
         pairs = sorted(w_polys.keys())  # (tile, m), deterministic order
 
         if self.mode == "ntt":
-            q = self._modulus_for(n, bound)
+            q = single_prime_modulus(n, bound)
             plan = self._ntt_plan(n, q)
             with _Timer(stats, "weight_transform"):
                 w_rows = np.stack([
@@ -623,16 +591,12 @@ class BatchedHConvEngine:
         stats.products += len(pairs) * batch
 
         with _Timer(stats, "decode"):
-            oh, ow = shape.out_height, shape.out_width
             for item in range(batch):
                 base = item * len(pairs)
                 products = {
                     pair: rows[base + k] for k, pair in enumerate(pairs)
                 }
-                y = enc.decode_output(products)
-                r0 = row_start
-                r1 = min(r0 + y.shape[1], oh)
-                total[item, :, r0:r1, :ow] += y[:, : r1 - r0, :ow]
+                total[item][band.out] += band.crop(enc.decode_output(products))
 
 
 # ---------------------------------------------------------------------------

@@ -328,9 +328,12 @@ class TestConv2dDirect:
 
 
 class TestDecomposeStrided:
-    def test_stride1_identity(self):
-        s = ConvShape.square(1, 4, 1, 3)
-        assert decompose_strided(s) == [(s, 0, 0)]
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_stride1_identity(self, padding):
+        s = ConvShape.square(1, 4, 1, 3, padding=padding)
+        # One padding-free phase over the padded input.
+        phase = ConvShape.square(1, 4 + 2 * padding, 1, 3)
+        assert decompose_strided(s) == [(phase, 0, 0)]
 
     def test_stride2_has_four_phases(self):
         s = ConvShape.square(1, 8, 1, 3, stride=2)
@@ -354,9 +357,10 @@ class TestPadInput:
         x = np.ones((1, 2, 2))
         assert pad_input(x, 0) is x
 
-    def test_padding_shape_and_content(self):
-        x = np.ones((1, 2, 2), dtype=np.int64)
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    def test_padding_shape_and_content(self, lead):
+        x = np.ones(lead + (1, 2, 2), dtype=np.int64)
         out = pad_input(x, 1)
-        assert out.shape == (1, 4, 4)
-        assert out.sum() == 4
-        assert out[0, 0, 0] == 0
+        assert out.shape == lead + (1, 4, 4)
+        assert out.sum() == 4 * int(np.prod(lead))
+        assert out[..., 0, 0, 0].sum() == 0

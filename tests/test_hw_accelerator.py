@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.encoding import ConvShape, LinearShape
+from repro.encoding import ConvShape, LinearShape, iter_row_bands
 from repro.hw import (
     ChamModel,
     FlashAccelerator,
@@ -38,13 +38,14 @@ class TestSpatialTiles:
     def test_small_plane_no_tiling(self):
         shape = ConvShape.square(1, 32, 1, 3)
         band, count = spatial_tiles(shape, 4096)
-        assert count == 1
+        assert count == 1 == len(iter_row_bands(shape, 4096))
         assert band is shape
 
     def test_large_plane_banded(self):
         shape = ConvShape.square(3, 224, 64, 7)
         band, count = spatial_tiles(shape, 4096)
         assert count > 1
+        assert count == len(iter_row_bands(shape, 4096))
         assert band.height * band.width <= 4096
         # Bands overlap by kernel_h - 1 rows and must cover all outputs.
         effective = band.height - (shape.kernel_h - 1)

@@ -211,6 +211,45 @@ class TestHybridLinear:
         )
         assert result.max_error <= 2
 
+    @pytest.mark.parametrize("backend_factory", [
+        pytest.param(lambda: None, id="ntt"),
+        pytest.param(fp_fft_backend, id="fp-fft"),
+    ])
+    def test_run_batch_reconstructs_each_item(
+        self, params, session, backend_factory
+    ):
+        rng = np.random.default_rng(14)
+        shape = LinearShape(150, 4)  # 3 chunks in a 64-degree ring
+        xs = rng.integers(-4, 4, size=(3, 150))
+        w = rng.integers(-4, 4, size=(4, 150))
+        results = HybridLinearProtocol(
+            params, shape, backend_factory()
+        ).run_batch(xs, w, rng, session)
+        assert len(results) == 3
+        for x, result in zip(xs, results):
+            assert np.array_equal(result.reconstructed, w @ x)
+            assert result.stats.ciphertexts_sent == 3
+            # One per (chunk, row group): 3 chunks x 4 one-row groups.
+            assert result.stats.ciphertexts_returned == 12
+
+    @pytest.mark.parametrize("backend_factory", [
+        pytest.param(lambda: None, id="ntt"),
+        pytest.param(fp_fft_backend, id="fp-fft"),
+    ])
+    def test_run_is_batch_of_one(self, params, session, backend_factory):
+        rng = np.random.default_rng(15)
+        shape = LinearShape(150, 4)
+        x = rng.integers(-4, 4, size=150)
+        w = rng.integers(-4, 4, size=(4, 150))
+        protocol = HybridLinearProtocol(params, shape, backend_factory())
+        single = protocol.run(x, w, np.random.default_rng(16), session)
+        (batched,) = protocol.run_batch(
+            x[None], w, np.random.default_rng(16), session
+        )
+        assert np.array_equal(single.client_share, batched.client_share)
+        assert np.array_equal(single.server_share, batched.server_share)
+        assert repr(single.stats) == repr(batched.stats)
+
     def test_overflow_detected(self, params, session):
         shape = LinearShape(4, 1)
         x = np.full(4, 20000, dtype=np.int64)

@@ -13,6 +13,7 @@ from repro.nn import (
     train_test_split,
 )
 from repro.protocol.private_network import PrivateCnnEvaluator
+from repro.runtime import BatchedNttBackend
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +68,39 @@ class TestPrivateCnnEvaluator:
         acc = evaluator.accuracy(te.images, te.labels, rng, max_samples=4)
         plain = qnet.accuracy_int(te.images[:4], te.labels[:4])
         assert acc == plain
+
+    def test_infer_batch_matches_per_image_infer(self, setup):
+        qnet, te, params = setup
+        evaluator = PrivateCnnEvaluator(qnet, params)
+        images = te.images[:3]
+        traces = evaluator.infer_batch(images, np.random.default_rng(5))
+        assert len(traces) == 3
+        for image, trace in zip(images, traces):
+            assert np.array_equal(trace.logits, trace.expected_logits)
+            single = evaluator.infer(image, np.random.default_rng(6))
+            assert np.array_equal(trace.logits, single.logits)
+            assert len(trace.layer_stats) == 3  # conv, conv, linear
+
+    def test_infer_batch_one_round_per_layer(self, setup, monkeypatch):
+        """Three images make as many ``multiply_many`` calls as one, each
+        three times as large: every HE round, the FC layer's included,
+        covers the whole batch."""
+        qnet, te, params = setup
+        backend = BatchedNttBackend()
+        calls = []
+        multiply_many = backend.multiply_many
+
+        def spy(polys, weights):
+            calls.append(len(polys))
+            return multiply_many(polys, weights)
+
+        monkeypatch.setattr(backend, "multiply_many", spy)
+        evaluator = PrivateCnnEvaluator(qnet, params, backend)
+        evaluator.infer(te.images[0], np.random.default_rng(7))
+        single = list(calls)
+        calls.clear()
+        evaluator.infer_batch(te.images[:3], np.random.default_rng(7))
+        assert calls == [3 * count for count in single]
 
     def test_rejects_undersized_plaintext_ring(self, setup):
         qnet, _, _ = setup
